@@ -38,13 +38,28 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+# FNV-1a hashes a zero byte as a bare multiply by the prime, so a run of
+# k zero bytes is one multiply by _FNV_PRIME**k mod 2**64.
+_ZERO_RUN = [pow(_FNV_PRIME, k, 1 << 64) for k in range(9)]
+
+
 def checksum_dist(dist: list[int | None]) -> int:
     """64-bit FNV-1a over the distance vector, 8-byte little-endian words;
-    unreachable entries hash as the all-ones sentinel."""
-    buf = bytearray()
+    unreachable entries hash as the all-ones sentinel.
+
+    Equal to ``fnv1a64`` over the concatenated words; each word's zero
+    high bytes are folded into one multiply.
+    """
+    h = _FNV_OFFSET
     for d in dist:
-        buf += (UNREACHABLE_SENTINEL if d is None else d).to_bytes(8, "little")
-    return fnv1a64(bytes(buf))
+        if d is None:
+            d = UNREACHABLE_SENTINEL
+        nbytes = (d.bit_length() + 7) >> 3
+        # to_bytes(8) still rejects values outside 0..2**64-1
+        for b in d.to_bytes(8, "little")[:nbytes]:
+            h = ((h ^ b) * _FNV_PRIME) & _MASK64
+        h = (h * _ZERO_RUN[8 - nbytes]) & _MASK64
+    return h
 
 
 def metrics_record(

@@ -174,9 +174,6 @@ class LabelState:
     def copy(self) -> LabelState:
         return LabelState(list(self.parent), list(self.dist), list(self.region))
 
-    def is_labeled(self, v: int) -> bool:
-        return self.region[v] > 0 or self.dist[v] is not None
-
 
 def find_shorter_arms(g: Graph, labels: LabelState) -> list[tuple[int, int]]:
     """All arcs that still violate optimality under the given labels.
@@ -203,49 +200,51 @@ def load_dimacs(stream: TextIO | Iterable[str]) -> Graph:
     """Parse the 9th DIMACS Challenge shortest-path text format.
 
     Accepts ``c`` comment lines, a single ``p sp <n> <m>`` header, and
-    ``a <src> <dst> <weight>`` arc lines with 1-based node ids.  Node ids
-    are converted to 0-based internally.
+    ``a <src> <dst> <weight>`` arc lines with 1-based node ids.  Numbers
+    are plain ASCII digit strings: no sign, no ``_`` separators, no
+    other scripts' digits.  Node ids are converted to 0-based
+    internally.  A stream that fails to decode raises
+    :class:`GraphError`.
     """
     n = -1
     declared = -1
-    raw_arcs = 0
     arcs: list[tuple[int, int, int]] = []
     lineno = 0
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        kind = fields[0]
-        if kind == "p":
-            if n >= 0:
-                raise DimacsParseError(lineno, "duplicate problem line")
-            if len(fields) != 4 or fields[1] != "sp":
-                raise DimacsParseError(lineno, f"malformed problem line: {line!r}")
-            try:
-                n = int(fields[2])
-                declared = int(fields[3])
-            except ValueError:
-                raise DimacsParseError(lineno, f"non-integer problem line: {line!r}") from None
-            if n < 0 or declared < 0:
-                raise DimacsParseError(lineno, "negative count in problem line")
-        elif kind == "a":
-            if n < 0:
-                raise DimacsParseError(lineno, "arc line before problem line")
-            if len(fields) != 4:
-                raise DimacsParseError(lineno, f"malformed arc line: {line!r}")
-            try:
-                u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DimacsParseError(lineno, f"non-integer arc line: {line!r}") from None
-            raw_arcs += 1
-            arcs.append((u - 1, v - 1, w))
-        else:
-            raise DimacsParseError(lineno, f"unknown line type {kind!r}")
+    try:
+        for lineno, line in enumerate(stream, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            kind = fields[0]
+            if kind == "a":
+                if n < 0:
+                    raise DimacsParseError(lineno, "arc line before problem line")
+                if len(fields) != 4:
+                    raise DimacsParseError(lineno, f"malformed arc line: {line.strip()!r}")
+                _, su, sv, sw = fields
+                if not (line.isascii() and su.isdigit() and sv.isdigit() and sw.isdigit()):
+                    raise DimacsParseError(lineno, f"arc line fields must be ASCII digits: {line.strip()!r}")
+                arcs.append((int(su) - 1, int(sv) - 1, int(sw)))
+            elif kind.startswith("c"):
+                continue
+            elif kind == "p":
+                if n >= 0:
+                    raise DimacsParseError(lineno, "duplicate problem line")
+                if len(fields) != 4 or fields[1] != "sp":
+                    raise DimacsParseError(lineno, f"malformed problem line: {line.strip()!r}")
+                _, _, sn, sm = fields
+                if not (line.isascii() and sn.isdigit() and sm.isdigit()):
+                    raise DimacsParseError(lineno, f"problem line counts must be ASCII digits: {line.strip()!r}")
+                n = int(sn)
+                declared = int(sm)
+            else:
+                raise DimacsParseError(lineno, f"unknown line type {kind!r}")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"input is not UTF-8 text: {exc.reason}") from None
     if n < 0:
         raise DimacsParseError(lineno, "missing problem line")
-    if raw_arcs != declared:
-        raise HeaderMismatchError(declared, raw_arcs)
+    if len(arcs) != declared:
+        raise HeaderMismatchError(declared, len(arcs))
     return build_graph(n, arcs)
 
 

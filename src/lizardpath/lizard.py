@@ -10,8 +10,14 @@ Three linked systems share one set of items:
 
 The ARA makes deletion constant-bounded: when a BST node with two
 children goes away, its replacement is one ARA step to the right, never a
-subtree descent.  There is no rebalancing; after the initial balanced
-build the tree is treated as a random tree.
+subtree descent.  Insertion keeps the tree's height logarithmic for any
+key order, scapegoat style (Galperin & Rivest 1993, with alpha = 2/3):
+when a fresh agency lands deeper than log_{3/2} of the item count, the
+lowest ancestor whose child on the path holds more than 2/3 of its
+subtree is rebuilt into a balanced shape.  That subtree's agencies are
+one contiguous run of the ARA, so collecting them is a walk along
+``next``.  Deletion never rebalances, so the height stays within
+log_{3/2} of the largest size the structure has reached.
 
 Every operation charges an instrumented cost (the number of structure
 nodes it touches), accumulated in :class:`CostCounters`.  Membership via
@@ -158,8 +164,10 @@ class LizardEntity:
     def insert(self, node: int, key: int) -> None:
         """Place a new item; equal keys join the existing agency's circle.
 
+        A fresh agency is attached as a leaf; if that leaf is too deep,
+        its scapegoat subtree is rebuilt (see :meth:`_rebuild_scapegoat`).
         Charge: BST search-path length, plus one when a fresh agency is
-        attached as a leaf.
+        attached, plus any rebuild's charge.
         """
         if node in self._index:
             raise DuplicateNodeError(node)
@@ -185,21 +193,22 @@ class LizardEntity:
             if key < ck:
                 if cur.left is None:
                     cur.left = item
-                    item.up = cur
-                    item.is_agency = True
                     self._ara_link_before(cur, item)
-                    self.counters.insert += visited + 1
-                    return
+                    break
                 cur = cur.left
             else:
                 if cur.right is None:
                     cur.right = item
-                    item.up = cur
-                    item.is_agency = True
                     self._ara_link_after(cur, item)
-                    self.counters.insert += visited + 1
-                    return
+                    break
                 cur = cur.right
+        item.up = cur
+        item.is_agency = True
+        charge = visited + 1
+        # the new leaf's depth is `visited`; rebuild when it exceeds log_{3/2}(size)
+        if self.size < _DEEPER_THAN_LOG[visited]:
+            charge += self._rebuild_scapegoat(item)
+        self.counters.insert += charge
 
     def delete(self, node: int) -> None:
         """Remove one item: cousin unlink, agency promotion, or BST excision.
@@ -275,6 +284,46 @@ class LizardEntity:
             cur = cur.left if key < cur.key else cur.right
         self.counters.contains += visited
         return True
+
+    def _rebuild_scapegoat(self, leaf: LizardItem) -> int:
+        """Rebalance above a leaf that sits deeper than log_{3/2}(size).
+
+        Walks up from the leaf, counting each sibling subtree, to the
+        first ancestor whose child on the path holds more than 2/3 of
+        its subtree; one exists because the tree holds at most ``size``
+        nodes.  That ancestor's subtree is the ARA run starting at its
+        leftmost node, and is relinked balanced in its place.  Returns
+        the charge: nodes counted in the search plus nodes relinked.
+        """
+        child = leaf
+        child_size = 1
+        counted = 0
+        while True:
+            goat = child.up
+            sibling = goat.right if goat.left is child else goat.left
+            sibling_size = _subtree_size(sibling)
+            counted += 1 + sibling_size
+            goat_size = child_size + 1 + sibling_size
+            if 3 * child_size > 2 * goat_size:
+                break
+            child = goat
+            child_size = goat_size
+        first = goat
+        while first.left is not None:
+            first = first.left
+        run = [first]
+        for _ in range(goat_size - 1):
+            first = first.next
+            run.append(first)
+        up = goat.up
+        top = _pyramid(run, 0, goat_size, up)
+        if up is None:
+            self.bst_root = top
+        elif up.left is goat:
+            up.left = top
+        else:
+            up.right = top
+        return counted + goat_size
 
     # -- link plumbing -----------------------------------------------
 
@@ -407,6 +456,25 @@ class LizardEntity:
             if item.right is not None:
                 stack.append((item.right, depth + 1))
         return height
+
+
+# _DEEPER_THAN_LOG[d] = ceil(1.5**d), so a leaf at depth d >= 1 is deeper
+# than log_{3/2}(size) exactly when size < _DEEPER_THAN_LOG[d].  Depths stay
+# within log_{3/2} of the peak size plus one, far below the table's end.
+_DEEPER_THAN_LOG = [(3**d + 2**d - 1) // 2**d for d in range(128)]
+
+
+def _subtree_size(item: LizardItem | None) -> int:
+    count = 0
+    stack = [item] if item is not None else []
+    while stack:
+        item = stack.pop()
+        count += 1
+        if item.left is not None:
+            stack.append(item.left)
+        if item.right is not None:
+            stack.append(item.right)
+    return count
 
 
 def _pyramid(agencies: list[LizardItem], lo: int, hi: int, up: LizardItem | None) -> LizardItem | None:

@@ -42,6 +42,22 @@ class TestChecksum:
     def test_checksum_order_sensitive(self):
         assert checksum_dist([1, 2]) != checksum_dist([2, 1])
 
+    @pytest.mark.parametrize("dist", [
+        [],
+        [None],
+        [0],
+        [0, None, 0],
+        [1, 255, 256, 2**32, 2**56 - 1, 2**56, 2**64 - 2, None, 0],
+        [(i * 0x9E3779B97F4A7C15) % 2**64 for i in range(200)] + [None, 0] * 10,
+    ])
+    def test_checksum_matches_bytewise_fnv1a(self, dist):
+        words = b"".join((0xFFFFFFFFFFFFFFFF if d is None else d).to_bytes(8, "little") for d in dist)
+        assert checksum_dist(dist) == fnv1a64(words)
+
+    def test_checksum_rejects_values_beyond_64_bits(self):
+        with pytest.raises(OverflowError):
+            checksum_dist([2**64])
+
 
 class TestGen:
     def test_grid_file_round_trip(self, tmp_path):
@@ -132,6 +148,25 @@ class TestSolve:
         gr.write_text("p sp 2 2\na 1 2 5\n")
         assert main(["solve", str(gr)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("arc", ["a 1 2 1_0", "a +1 2 5", "a 1 2 \u0661", "a 1 2 -5"])
+    def test_non_ascii_digit_numbers_fail_with_line_number(self, tmp_path, capsys, command, arc):
+        gr = tmp_path / "bad.gr"
+        gr.write_text(f"c comment\np sp 2 1\n{arc}\n", encoding="utf-8")
+        assert main([command, str(gr)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_non_utf8_file_fails_cleanly(self, tmp_path, capsys, command):
+        gr = tmp_path / "latin1.gr"
+        gr.write_bytes(b"p sp 2 1\nc caf\xe9\na 1 2 5\n")
+        assert main([command, str(gr)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:

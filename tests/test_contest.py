@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from lizardpath import (
@@ -133,6 +135,22 @@ class TestSolve:
         _, m = solve_sssp(triangle)
         assert m.le_cost > 0
         assert m.harmonic > 0.0
+
+    def test_broom_sorted_requeue_keeps_structure_cost_near_linearithmic(self):
+        # a zero-weight path reaches the hub, which re-queues every leaf
+        # in ascending key order; an unbalanced BST would become a list
+        # and charge m(m+1)/2 for the inserts
+        m = 2000
+        source, a, b, hub = 0, 1, 2, 3
+        arcs = [(source, a, 0), (a, b, 0), (b, hub, 0)]
+        for i in range(m):
+            arcs.append((hub, 4 + i, i + 1))
+            arcs.append((source, 4 + i, 10**9))
+        g = build_graph(m + 4, arcs)
+        labels, metrics = solve_sssp(g)
+        assert labels.dist == dijkstra(g, 0)[0]
+        assert metrics.harmonic <= 8
+        assert metrics.le_counters.insert <= 4 * m * math.log2(m)
 
     def test_monotone_improvement_against_first_pass(self):
         for g in corpus(10, base=300):

@@ -140,6 +140,13 @@ class TestDimacs:
         with pytest.raises(DimacsParseError):
             load_dimacs(io.StringIO("p sp 2 1\na 1 2 x\n"))
 
+    @pytest.mark.parametrize("field", ["1_0", "+1", "-1", "\u0661", "\u00b2", "0x1", "1.0"])
+    def test_numbers_must_be_ascii_digits(self, field):
+        with pytest.raises(DimacsParseError, match="^line 2:"):
+            load_dimacs(io.StringIO(f"p sp 2 1\na 1 2 {field}\n"))
+        with pytest.raises(DimacsParseError, match="^line 1:"):
+            load_dimacs(io.StringIO(f"p sp {field} 0\n"))
+
     def test_ids_are_one_based_in_files(self):
         buf = io.StringIO()
         save_dimacs(build_graph(2, [(0, 1, 5)]), buf)

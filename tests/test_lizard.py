@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lizardpath import (
     DuplicateNodeError,
@@ -253,20 +256,65 @@ def test_randomized_model_agreement():
     assert stats["max_size"] > 20
 
 
+def depth_within_log_three_halves(le: LizardEntity, size: int) -> bool:
+    """Deepest node's depth <= log_{3/2}(size), in exact integers."""
+    depth = le.bst_height() - 1
+    return 3**depth <= size * 2**depth
+
+
 def test_bst_height_stays_sane_under_churn():
-    # no rebalancing happens after the build, so track realized height
-    # on a deterministic workload to catch pathological drift
+    # insert rebuilds keep every depth within log_{3/2} of the largest
+    # size reached; check it on a deterministic churn workload
     rng = SplitMix64(314159)
     le = LizardEntity.build([(i, rng.below(10**6)) for i in range(512)])
     node = 512
+    peak = le.size
     for _ in range(4000):
         if rng.below(3) and le.size:
             le.get_min_batch("repeat_delete" if rng.below(2) else "cut_agency")
         le.insert(node, rng.below(10**6))
+        peak = max(peak, le.size)
         node += 1
-    agencies = len(le.agencies_in_order())
-    bound = 4 * max(1, agencies).bit_length() + 2
-    assert le.bst_height() <= bound, f"height {le.bst_height()} vs {agencies} agencies"
+    assert depth_within_log_three_halves(le, peak), f"height {le.bst_height()} vs peak size {peak}"
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_sorted_inserts_stay_logarithmic(step):
+    le = LizardEntity()
+    for i in range(600):
+        le.insert(i, step * i)
+        assert depth_within_log_three_halves(le, le.size), f"insert {i}: height {le.bst_height()}"
+    assert verify_structure(le) is None
+    # a list-shaped tree would charge 600 * 601 / 2 = 180 300
+    assert le.counters.insert <= 4 * 600 * math.log2(600)
+
+
+@given(
+    order=st.sampled_from(("ascending", "descending", "random")),
+    ops=st.lists(st.integers(0, 9), max_size=400),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_height_bound_under_interleaved_deletes(order, ops, seed):
+    """After every insert the structure is sound and no node is deeper
+    than log_{3/2} of the largest size reached.  Before the first removal
+    that size is the current one; deletions never rebalance, so after
+    them the bound is on the peak."""
+    rng = SplitMix64(seed)
+    le = LizardEntity()
+    peak = 0
+    for step, op in enumerate(ops):
+        if op < 6 or not le.size:
+            key = {"ascending": step, "descending": -step, "random": rng.below(500)}[order]
+            le.insert(step, key)
+            peak = max(peak, le.size)
+            assert verify_structure(le) is None
+            assert depth_within_log_three_halves(le, peak)
+        elif op < 8:
+            victims = list(le._index)
+            le.delete(victims[rng.below(len(victims))])
+        else:
+            le.get_min_batch("repeat_delete" if op == 8 else "cut_agency")
 
 
 def test_total_cost_is_sum_of_buckets():
