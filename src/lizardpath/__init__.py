@@ -31,7 +31,7 @@ from .graph import (
     load_dimacs,
     save_dimacs,
 )
-from .hdm import HdmOutput, RegionPartition, check_partition, collect_origins, hdm_run, hdm_run_with_seeking
+from .hdm import HdmOutput, RegionPartition, check_partition, collect_origins, hdm_run
 from .lizard import (
     CostCounters,
     DuplicateNodeError,
@@ -49,7 +49,7 @@ __all__ = [
     "SelfLoopError", "DimacsParseError", "HeaderMismatchError",
     "GenSpec", "SplitMix64", "generate", "gen_complete", "gen_random",
     "gen_grid", "gen_random_sparse", "DegreeTooLargeError",
-    "HdmOutput", "RegionPartition", "hdm_run", "hdm_run_with_seeking",
+    "HdmOutput", "RegionPartition", "hdm_run",
     "collect_origins", "check_partition",
     "LizardEntity", "LizardItem", "CostCounters", "verify_structure",
     "DuplicateNodeError", "MissingNodeError", "EmptyStructureError",

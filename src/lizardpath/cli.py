@@ -21,7 +21,7 @@ from dataclasses import asdict
 from .contest import RunMetrics, SolveOptions, contest_run, solve_sssp
 from .generators import GenSpec, generate
 from .graph import Graph, GraphError, LabelState, find_shorter_arms, load_dimacs, save_dimacs
-from .hdm import collect_origins, hdm_run
+from .hdm import hdm_run
 from .oracle import BRUTE_FORCE_LIMIT, bellman_ford, brute_force, dijkstra
 
 UNREACHABLE_SENTINEL = 0xFFFFFFFFFFFFFFFF
@@ -81,7 +81,8 @@ def metrics_record(
         "seed": seed,
         "algo": algo,
         "reap_mode": m.reap_mode if metrics else None,
-        "origin_mode": m.origin_mode if metrics else None,
+        # the origins always come from the first pass's inline harvest
+        "origin_mode": "inline_seeking" if metrics else None,
         "D": m.deletions,
         "Q_A": m.arc_scans,
         "Q_S": m.relabels,
@@ -104,7 +105,7 @@ def run_algo(g: Graph, algo: str, opts: SolveOptions) -> tuple[list[int | None],
     if algo == "hdm":
         t0 = time.perf_counter()
         out = hdm_run(g, opts.source)
-        metrics = RunMetrics(reap_mode=opts.reap_mode, origin_mode=opts.origin_mode)
+        metrics = RunMetrics(reap_mode=opts.reap_mode)
         metrics.t_hdm_ms = (time.perf_counter() - t0) * 1000.0
         metrics.hdm_arc_scans = out.arc_scans
         return out.labels.dist, metrics
@@ -112,20 +113,25 @@ def run_algo(g: Graph, algo: str, opts: SolveOptions) -> tuple[list[int | None],
         t0 = time.perf_counter()
         fn = dijkstra if algo == "dijkstra" else bellman_ford
         dist, _ = fn(g, opts.source)
-        metrics = RunMetrics(reap_mode=opts.reap_mode, origin_mode=opts.origin_mode)
+        metrics = RunMetrics(reap_mode=opts.reap_mode)
         metrics.t_ca_ms = (time.perf_counter() - t0) * 1000.0
         return dist, metrics
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
+def source_index(source: int, g: Graph) -> int:
+    """The library's 0-based id for a 1-based ``--source`` value."""
+    if not 1 <= source <= g.n:
+        raise GraphError(f"--source {source} out of range [1, {g.n}]")
+    return source - 1
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         g = load_dimacs(fh)
-    source = args.source - 1
     opts = SolveOptions(
-        source=source,
+        source=source_index(args.source, g),
         reap_mode="cut_agency" if args.reap == "cut" else "repeat_delete",
-        origin_mode="inline_seeking" if args.origins == "seek" else "full_scan",
     )
     dist, metrics = run_algo(g, args.algo, opts)
     record = metrics_record(args.input, None, g, None, args.algo, metrics, dist)
@@ -180,7 +186,7 @@ def verify_instance(g: Graph, source: int, inject_fault: bool = False) -> tuple[
 def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         g = load_dimacs(fh)
-    ok, lines = verify_instance(g, args.source - 1)
+    ok, lines = verify_instance(g, source_index(args.source, g))
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -240,7 +246,6 @@ def bench_row(name: str, spec_kwargs: dict, seed: int) -> dict:
     g = generate(spec)
     t0 = time.perf_counter()
     first = hdm_run(g, 0)
-    origins = collect_origins(g, first.labels)
     t_hdm_ms = (time.perf_counter() - t0) * 1000.0
 
     runs = []
@@ -249,7 +254,7 @@ def bench_row(name: str, spec_kwargs: dict, seed: int) -> dict:
     for reap in ("repeat_delete", "cut_agency"):
         labels = first.labels.copy()
         t0 = time.perf_counter()
-        labels, metrics = contest_run(g, labels, origins, SolveOptions(reap_mode=reap))
+        labels, metrics = contest_run(g, labels, first.origins, SolveOptions(reap_mode=reap))
         metrics.t_ca_ms = (time.perf_counter() - t0) * 1000.0
         metrics.t_hdm_ms = t_hdm_ms
         metrics.hdm_arc_scans = first.arc_scans
@@ -377,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("ca", "hdm", "dijkstra", "bf"), default="ca")
     p.add_argument("--source", type=int, default=1, help="source node (1-based file id)")
     p.add_argument("--reap", choices=("repeat", "cut"), default="repeat")
-    p.add_argument("--origins", choices=("scan", "seek"), default="scan")
     p.add_argument("--metrics", help="write the metrics record to this JSON file")
     p.add_argument("--dump-dist", help="write distances, one '<id> <dist>' line per node")
     p.set_defaults(func=cmd_solve)

@@ -17,11 +17,10 @@ import time
 from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError, LabelState
-from .hdm import collect_origins, hdm_run
+from .hdm import hdm_run
 from .lizard import CostCounters, LizardEntity
 
 REAP_MODES = ("repeat_delete", "cut_agency")
-ORIGIN_MODES = ("full_scan", "inline_seeking")
 
 
 class UnlabeledOriginError(GraphError):
@@ -33,13 +32,10 @@ class UnlabeledOriginError(GraphError):
 class SolveOptions:
     source: int = 0
     reap_mode: str = "repeat_delete"
-    origin_mode: str = "full_scan"
 
     def __post_init__(self):
         if self.reap_mode not in REAP_MODES:
             raise ValueError(f"reap_mode must be one of {REAP_MODES}")
-        if self.origin_mode not in ORIGIN_MODES:
-            raise ValueError(f"origin_mode must be one of {ORIGIN_MODES}")
 
 
 @dataclass
@@ -60,7 +56,6 @@ class RunMetrics:
     t_hdm_ms: float = 0.0
     t_ca_ms: float = 0.0
     reap_mode: str = "repeat_delete"
-    origin_mode: str = "full_scan"
     anomalies: int = 0
     hdm_arc_scans: int = 0
     le_counters: CostCounters = field(default_factory=CostCounters)
@@ -89,7 +84,7 @@ def contest_run(
     """
     if opts is None:
         opts = SolveOptions()
-    metrics = RunMetrics(reap_mode=opts.reap_mode, origin_mode=opts.origin_mode)
+    metrics = RunMetrics(reap_mode=opts.reap_mode)
     dist = labels.dist
     parent = labels.parent
     for v in origins:
@@ -143,7 +138,8 @@ def contest_run(
 
 
 def solve_sssp(g: Graph, opts: SolveOptions | None = None) -> tuple[LabelState, RunMetrics]:
-    """Layered labeling, origin harvest, then best-first correction.
+    """Layered labeling with its inline origin harvest, then best-first
+    correction.
 
     Final distances equal the exact single-source optima for every
     reachable node; unreachable nodes keep unset labels.
@@ -151,11 +147,9 @@ def solve_sssp(g: Graph, opts: SolveOptions | None = None) -> tuple[LabelState, 
     if opts is None:
         opts = SolveOptions()
     t0 = time.perf_counter()
-    seeded = opts.origin_mode == "inline_seeking"
-    first = hdm_run(g, opts.source, seeking=seeded)
-    origins = first.origins if seeded else collect_origins(g, first.labels)
+    first = hdm_run(g, opts.source)
     t1 = time.perf_counter()
-    labels, metrics = contest_run(g, first.labels, origins, opts)
+    labels, metrics = contest_run(g, first.labels, first.origins, opts)
     t2 = time.perf_counter()
     metrics.t_hdm_ms = (t1 - t0) * 1000.0
     metrics.t_ca_ms = (t2 - t1) * 1000.0

@@ -3,16 +3,17 @@
 One pass assigns every reachable node a region id (its hop layer from the
 source), a parent, and a provisional total weight.  Each arc is screened
 exactly once; an arc pointing into the next layer may improve that leaf's
-label, while arcs into the same or an earlier layer are left to the
-correction phase.  Distances produced here are upper bounds; they are
-exact when every arc of the instance crosses exactly one layer forward.
+label, while an arc into the same or an earlier layer that would improve
+its leaf marks its root as an origin for the correction phase.  Distances
+produced here are upper bounds; they are exact, and the origin harvest is
+empty, when every arc of the instance crosses exactly one layer forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, LabelState, NodeOutOfRangeError
+from .graph import Graph, LabelState, NodeOutOfRangeError, find_shorter_arms
 
 
 @dataclass
@@ -34,12 +35,14 @@ class HdmOutput:
     arc_scans: int
 
 
-def hdm_run(g: Graph, source: int, seeking: bool = False) -> HdmOutput:
-    """Layered labeling pass from the source.
+def hdm_run(g: Graph, source: int) -> HdmOutput:
+    """Layered labeling pass from the source, harvesting origins as it scans.
 
-    With ``seeking`` enabled, roots observed (at scan time) with an arc
-    into their own or an earlier layer that would improve the leaf are
-    gathered as origins for the correction phase.
+    A root is an origin when one of its arcs into its own or an earlier
+    layer would improve the leaf.  Those labels are final by scan time:
+    they change only through arcs from the previous layer, which was
+    scanned in full before the root's layer began.  So the harvest, sorted
+    by node id, equals :func:`collect_origins` on the finished labels.
     """
     labels = LabelState.initial(g.n, source)
     parent = labels.parent
@@ -49,7 +52,6 @@ def hdm_run(g: Graph, source: int, seeking: bool = False) -> HdmOutput:
 
     regions = [[source]]
     origins: list[int] = []
-    in_origins = [False] * g.n
     arc_scans = 0
 
     frontier = regions[0]
@@ -59,60 +61,42 @@ def hdm_run(g: Graph, source: int, seeking: bool = False) -> HdmOutput:
         for v in frontier:
             dv = dist[v]
             rv = region[v]
-            for leaf, w in adj[v]:
-                arc_scans += 1
-                nw = dv + w
+            leaves = adj[v]
+            arc_scans += len(leaves)
+            violated = False
+            for leaf, w in leaves:
                 rl = region[leaf]
                 if rl == 0:
                     region[leaf] = i + 1
                     next_frontier.append(leaf)
                     parent[leaf] = v
-                    dist[leaf] = nw
+                    dist[leaf] = dv + w
                 elif rl > rv:
+                    nw = dv + w
                     if dist[leaf] > nw:
                         parent[leaf] = v
                         dist[leaf] = nw
-                elif seeking and dist[leaf] > nw and not in_origins[v]:
-                    in_origins[v] = True
-                    origins.append(v)
+                elif not violated and dist[leaf] > dv + w:
+                    violated = True
+            if violated:
+                origins.append(v)
         if next_frontier:
             regions.append(next_frontier)
         frontier = next_frontier
         i += 1
 
+    origins.sort()
     return HdmOutput(labels, RegionPartition(regions), origins, arc_scans)
 
 
-def hdm_run_with_seeking(g: Graph, source: int) -> HdmOutput:
-    """Labeling pass that also gathers origins inline while scanning.
-
-    Kept for fidelity with the one-pass formulation; the default pipeline
-    prefers :func:`collect_origins`, which cannot miss arcs whose tail
-    got relabeled after the arc was screened.
-    """
-    return hdm_run(g, source, seeking=True)
-
-
 def collect_origins(g: Graph, labels: LabelState) -> list[int]:
-    """Duplicate-free roots of every arc still violating optimality.
+    """Roots of every arc still violating optimality, duplicate-free and
+    in node-id order.
 
-    Full post-pass over all arcs; a superset-or-equal of the inline
-    seeking list, so no improvable node is orphaned when the correction
-    phase starts.
+    A full pass over all arcs; after :func:`hdm_run` it returns exactly
+    that pass's ``origins``, and serves as their reference.
     """
-    dist = labels.dist
-    region = labels.region
-    origins: list[int] = []
-    for v in range(g.n):
-        if region[v] == 0:
-            continue
-        dv = dist[v]
-        for leaf, w in g._adj[v]:
-            dl = dist[leaf]
-            if dl is None or dl > dv + w:
-                origins.append(v)
-                break
-    return origins
+    return list(dict.fromkeys(v for v, _ in find_shorter_arms(g, labels)))
 
 
 def check_partition(g: Graph, out: HdmOutput, source: int) -> str | None:

@@ -96,6 +96,7 @@ class TestSolve:
         record = json.loads(metrics_file.read_text())
         assert set(record) == METRICS_FIELDS
         assert record["algo"] == "ca"
+        assert record["origin_mode"] == "inline_seeking"
         assert record["Q_S"] >= 1
         assert dump.read_text() == "1 0\n2 2\n3 1\n"
 
@@ -129,15 +130,14 @@ class TestSolve:
         gr.write_text(TRIANGLE_GR)
         assert main(["solve", str(gr), "--algo", "bf"]) == 0
 
-    def test_inline_origin_harvest_gives_same_distances(self, tmp_path):
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("source", [0, 4])
+    def test_source_out_of_range_names_the_typed_id(self, tmp_path, capsys, command, source):
         gr = tmp_path / "t.gr"
         gr.write_text(TRIANGLE_GR)
-        sums = {}
-        for origins in ("scan", "seek"):
-            mfile = tmp_path / f"{origins}.json"
-            assert main(["solve", str(gr), "--origins", origins, "--metrics", str(mfile)]) == 0
-            sums[origins] = json.loads(mfile.read_text())["w_checksum"]
-        assert sums["scan"] == sums["seek"]
+        assert main([command, str(gr), "--source", str(source)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --source {source} out of range [1, 3]\n"
 
     def test_missing_file_fails(self, capsys):
         assert main(["solve", "/nonexistent/x.gr"]) == 1

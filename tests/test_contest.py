@@ -3,6 +3,7 @@ import math
 import pytest
 
 from lizardpath import (
+    GenSpec,
     LabelState,
     SolveOptions,
     UnlabeledOriginError,
@@ -12,9 +13,11 @@ from lizardpath import (
     dijkstra,
     find_shorter_arms,
     gen_random_sparse,
+    generate,
     hdm_run,
     solve_sssp,
 )
+from lizardpath.cli import SUITES, checksum_dist
 from conftest import gen_layered_dag, make_chain
 
 
@@ -109,12 +112,6 @@ class TestSolve:
         improvement = 100.0 * (ma.deletions - mb.deletions) / ma.deletions
         assert 0.0 < improvement < 100.0
 
-    def test_inline_seeking_pipeline_is_exact(self):
-        for g in corpus(20, base=200):
-            labels, m = solve_sssp(g, SolveOptions(origin_mode="inline_seeking"))
-            assert labels.dist == dijkstra(g, 0)[0]
-            assert m.origin_mode == "inline_seeking"
-
     def test_nonzero_source(self):
         g = gen_random_sparse(50, 0.3, seed=5)
         labels, _ = solve_sssp(g, SolveOptions(source=17))
@@ -188,5 +185,33 @@ class TestSolveOptions:
     def test_invalid_modes_rejected(self):
         with pytest.raises(ValueError):
             SolveOptions(reap_mode="both")
-        with pytest.raises(ValueError):
-            SolveOptions(origin_mode="magic")
+
+
+# Exact counters of solve_sssp from source 0 on desk-suite instances at
+# seed 1; any change to the first pass, the harvest order or the lizard
+# entity's charging shows up here.
+COUNTER_GOLDEN = {
+    "complete-500": dict(
+        D=2459, Q_A=249001, Q_S=2286, C_total=26641, hdm_arc_scans=249500, anomalies=0,
+        build=4670, insert=14823, delete=6150, getmin=998, checksum_dist=0x6DBFED8E4A4F520D,
+    ),
+    "grid-300x300": dict(
+        D=137276, Q_A=358604, Q_S=118252, C_total=2210173, hdm_arc_scans=358800, anomalies=0,
+        build=305232, insert=1545733, delete=179310, getmin=179898, checksum_dist=0xBB74F85A96B4F4F7,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTER_GOLDEN))
+def test_desk_counters_match_golden(name):
+    spec_kwargs = dict(SUITES["desk"])[name]
+    g = generate(GenSpec(seed=1, **spec_kwargs))
+    labels, m = solve_sssp(g, SolveOptions(source=0))
+    c = m.le_counters
+    got = dict(
+        D=m.deletions, Q_A=m.arc_scans, Q_S=m.relabels, C_total=m.le_cost,
+        hdm_arc_scans=m.hdm_arc_scans, anomalies=m.anomalies,
+        build=c.build, insert=c.insert, delete=c.delete, getmin=c.getmin,
+        checksum_dist=checksum_dist(labels.dist),
+    )
+    assert got == COUNTER_GOLDEN[name]
