@@ -20,8 +20,6 @@ from .graph import Graph, GraphError, LabelState
 from .hdm import hdm_run
 from .lizard import CostCounters, LizardEntity
 
-REAP_MODES = ("repeat_delete", "cut_agency")
-
 
 class UnlabeledOriginError(GraphError):
     def __init__(self, node: int):
@@ -31,11 +29,6 @@ class UnlabeledOriginError(GraphError):
 @dataclass
 class SolveOptions:
     source: int = 0
-    reap_mode: str = "repeat_delete"
-
-    def __post_init__(self):
-        if self.reap_mode not in REAP_MODES:
-            raise ValueError(f"reap_mode must be one of {REAP_MODES}")
 
 
 @dataclass
@@ -55,7 +48,6 @@ class RunMetrics:
     harmonic: float = 0.0
     t_hdm_ms: float = 0.0
     t_ca_ms: float = 0.0
-    reap_mode: str = "repeat_delete"
     anomalies: int = 0
     hdm_arc_scans: int = 0
     le_counters: CostCounters = field(default_factory=CostCounters)
@@ -70,7 +62,6 @@ def contest_run(
     g: Graph,
     labels: LabelState,
     origins: list[int],
-    opts: SolveOptions | None = None,
     round_hook=None,
 ) -> tuple[LabelState, RunMetrics]:
     """Drain the origin set best-first until no violating arc remains.
@@ -82,9 +73,7 @@ def contest_run(
     (labels, reaped batch) is a diagnostic callback invoked after every
     round.
     """
-    if opts is None:
-        opts = SolveOptions()
-    metrics = RunMetrics(reap_mode=opts.reap_mode)
+    metrics = RunMetrics()
     dist = labels.dist
     parent = labels.parent
     for v in origins:
@@ -92,7 +81,6 @@ def contest_run(
             raise UnlabeledOriginError(v)
     le = LizardEntity.build([(v, dist[v]) for v in origins])
     metrics.le_counters = le.counters
-    reap_mode = opts.reap_mode
     adj = g._adj
     in_le = le._index  # uncharged membership, kept exact by delete/insert below
     gathered: list[int] = []
@@ -102,7 +90,7 @@ def contest_run(
     anomalies = 0
 
     while le.size:
-        batch = le.get_min_batch(reap_mode)
+        batch = le.get_min_batch()
         for e in batch:
             de = dist[e]
             for leaf, w in adj[e]:
@@ -149,7 +137,7 @@ def solve_sssp(g: Graph, opts: SolveOptions | None = None) -> tuple[LabelState, 
     t0 = time.perf_counter()
     first = hdm_run(g, opts.source)
     t1 = time.perf_counter()
-    labels, metrics = contest_run(g, first.labels, first.origins, opts)
+    labels, metrics = contest_run(g, first.labels, first.origins)
     t2 = time.perf_counter()
     metrics.t_hdm_ms = (t1 - t0) * 1000.0
     metrics.t_ca_ms = (t2 - t1) * 1000.0

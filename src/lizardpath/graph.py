@@ -203,8 +203,8 @@ def load_dimacs(stream: TextIO | Iterable[str]) -> Graph:
     ``a <src> <dst> <weight>`` arc lines with 1-based node ids.  Numbers
     are plain ASCII digit strings: no sign, no ``_`` separators, no
     other scripts' digits.  Node ids are converted to 0-based
-    internally.  A stream that fails to decode raises
-    :class:`GraphError`.
+    internally; arc errors name the line and the ids as written.  A
+    stream that fails to decode raises :class:`GraphError`.
     """
     n = -1
     declared = -1
@@ -217,14 +217,16 @@ def load_dimacs(stream: TextIO | Iterable[str]) -> Graph:
                 continue
             kind = fields[0]
             if kind == "a":
-                if n < 0:
-                    raise DimacsParseError(lineno, "arc line before problem line")
                 if len(fields) != 4:
                     raise DimacsParseError(lineno, f"malformed arc line: {line.strip()!r}")
                 _, su, sv, sw = fields
                 if not (line.isascii() and su.isdigit() and sv.isdigit() and sw.isdigit()):
                     raise DimacsParseError(lineno, f"arc line fields must be ASCII digits: {line.strip()!r}")
-                arcs.append((int(su) - 1, int(sv) - 1, int(sw)))
+                u, v, w = int(su), int(sv), int(sw)
+                # n is -1 until the problem line, so this also catches arcs before it
+                if not (0 < u <= n and 0 < v <= n) or u == v or w > MAX_WEIGHT:
+                    raise DimacsParseError(lineno, _arc_fault(u, v, w, n))
+                arcs.append((u - 1, v - 1, w))
             elif kind.startswith("c"):
                 continue
             elif kind == "p":
@@ -246,6 +248,18 @@ def load_dimacs(stream: TextIO | Iterable[str]) -> Graph:
     if len(arcs) != declared:
         raise HeaderMismatchError(declared, len(arcs))
     return build_graph(n, arcs)
+
+
+def _arc_fault(u: int, v: int, w: int, n: int) -> str:
+    """Why DIMACS arc ``a u v w`` (ids as written) is rejected."""
+    if n < 0:
+        return "arc line before problem line"
+    for node in (u, v):
+        if not 1 <= node <= n:
+            return f"node id {node} out of range [1, {n}]"
+    if u == v:
+        return f"self-loop on node {u} is not allowed"
+    return f"weight {w} exceeds 32-bit limit {MAX_WEIGHT}"
 
 
 def save_dimacs(g: Graph, stream: TextIO) -> None:

