@@ -4,6 +4,11 @@ A graph is stored as one leaf list per root node: every node owns the
 ordered list of (leaf, weight) pairs its out-arcs point to.  Graphs are
 immutable after construction; solvers keep their working state in a
 separate :class:`LabelState`.
+
+Both validating constructors, :func:`build_graph` and
+:func:`load_dimacs`, check each arc once as they read it and append it
+to its root's leaf list; one assembly step then freezes the lists and
+min-merges parallel arcs on the nodes that have any.
 """
 
 from __future__ import annotations
@@ -13,6 +18,11 @@ from typing import Iterable, Iterator, TextIO
 # Arc weights must fit an unsigned 32-bit integer; path totals are
 # accumulated in plain Python ints, so no sum can overflow.
 MAX_WEIGHT = 2**32 - 1
+
+# Largest node count a DIMACS problem line may declare.  The loader
+# allocates one leaf list per node as soon as it reads the header, so an
+# unbounded count would exhaust memory before any arc is read.
+MAX_NODES = 2**24
 
 LeafList = tuple[tuple[int, int], ...]
 
@@ -114,34 +124,51 @@ class Graph:
 def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
     """Validate and assemble a graph from an (src, dst, weight) arc list.
 
-    Parallel arcs collapse to the minimum weight, keeping the position of
-    the first occurrence; self-loops are rejected.
+    Each arc is checked once and appended to its root's leaf list.  Of
+    an arc with several faults, the first in the order node range
+    (src, then dst), self-loop, negative weight, weight limit is raised.
+    Parallel arcs collapse to the minimum weight, keeping the position
+    of the first occurrence (see :func:`_assemble`).
     """
     if n < 0:
         raise GraphError(f"node count must be nonnegative, got {n}")
-    # per root: leaf -> position in the leaf list, so duplicates can be
-    # min-merged in place while preserving first-insertion order
-    lists: list[list[list[int]]] = [[] for _ in range(n)]
-    index: list[dict[int, int]] = [{} for _ in range(n)]
+    lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for src, dst, w in arcs:
-        if not 0 <= src < n:
-            raise NodeOutOfRangeError(src, n)
-        if not 0 <= dst < n:
-            raise NodeOutOfRangeError(dst, n)
-        if src == dst:
-            raise SelfLoopError(src)
-        if w < 0:
-            raise NegativeWeightError(src, dst, w)
-        if w > MAX_WEIGHT:
-            raise WeightTooLargeError(src, dst, w)
-        pos = index[src].get(dst)
-        if pos is None:
-            index[src][dst] = len(lists[src])
-            lists[src].append([dst, w])
-        elif w < lists[src][pos][1]:
-            lists[src][pos][1] = w
-    adj = tuple(tuple((d, w) for d, w in ll) for ll in lists)
-    return Graph(n, adj, sum(len(ll) for ll in adj))
+        if not (0 <= src < n and 0 <= dst < n and src != dst and 0 <= w <= MAX_WEIGHT):
+            raise _arc_error(src, dst, w, n)
+        lists[src].append((dst, w))
+    return _assemble(lists)
+
+
+def _arc_error(src: int, dst: int, w: int, n: int) -> GraphError:
+    """The typed error :func:`build_graph` raises for a rejected arc."""
+    for node in (src, dst):
+        if not 0 <= node < n:
+            return NodeOutOfRangeError(node, n)
+    if src == dst:
+        return SelfLoopError(src)
+    if w < 0:
+        return NegativeWeightError(src, dst, w)
+    return WeightTooLargeError(src, dst, w)
+
+
+def _assemble(lists: list[list[tuple[int, int]]]) -> Graph:
+    """Freeze validated per-node leaf lists into a :class:`Graph`.
+
+    A list whose leaves are all distinct becomes a tuple as it is.  Only
+    a list that repeats a leaf is min-merged: each leaf keeps the
+    position of its first arc and the least weight of all its arcs.
+    """
+    adj = tuple(tuple(ll) if len(dict(ll)) == len(ll) else _min_merge(ll) for ll in lists)
+    return Graph(len(adj), adj, sum(map(len, adj)))
+
+
+def _min_merge(leaves: list[tuple[int, int]]) -> LeafList:
+    best: dict[int, int] = {}
+    for leaf, w in leaves:
+        if leaf not in best or w < best[leaf]:
+            best[leaf] = w
+    return tuple(best.items())
 
 
 class LabelState:
@@ -202,13 +229,19 @@ def load_dimacs(stream: TextIO | Iterable[str]) -> Graph:
     Accepts ``c`` comment lines, a single ``p sp <n> <m>`` header, and
     ``a <src> <dst> <weight>`` arc lines with 1-based node ids.  Numbers
     are plain ASCII digit strings: no sign, no ``_`` separators, no
-    other scripts' digits.  Node ids are converted to 0-based
-    internally; arc errors name the line and the ids as written.  A
-    stream that fails to decode raises :class:`GraphError`.
+    other scripts' digits.  The header may declare at most
+    :data:`MAX_NODES` nodes.  A stream that fails to decode raises
+    :class:`GraphError`.
+
+    One pass: the header allocates one leaf list per node, and each arc
+    line is checked once (errors name the line and the ids as written)
+    and appended to its root's list with 0-based ids.  ``m`` must equal
+    the number of arc lines; parallel arcs are then min-merged as in
+    :func:`build_graph`.
     """
     n = -1
     declared = -1
-    arcs: list[tuple[int, int, int]] = []
+    lists: list[list[tuple[int, int]]] = []
     lineno = 0
     try:
         for lineno, line in enumerate(stream, start=1):
@@ -222,11 +255,14 @@ def load_dimacs(stream: TextIO | Iterable[str]) -> Graph:
                 _, su, sv, sw = fields
                 if not (line.isascii() and su.isdigit() and sv.isdigit() and sw.isdigit()):
                     raise DimacsParseError(lineno, f"arc line fields must be ASCII digits: {line.strip()!r}")
-                u, v, w = int(su), int(sv), int(sw)
+                try:
+                    u, v, w = int(su), int(sv), int(sw)
+                except ValueError:
+                    raise _long_number(lineno, fields) from None
                 # n is -1 until the problem line, so this also catches arcs before it
                 if not (0 < u <= n and 0 < v <= n) or u == v or w > MAX_WEIGHT:
                     raise DimacsParseError(lineno, _arc_fault(u, v, w, n))
-                arcs.append((u - 1, v - 1, w))
+                lists[u - 1].append((v - 1, w))
             elif kind.startswith("c"):
                 continue
             elif kind == "p":
@@ -237,17 +273,28 @@ def load_dimacs(stream: TextIO | Iterable[str]) -> Graph:
                 _, _, sn, sm = fields
                 if not (line.isascii() and sn.isdigit() and sm.isdigit()):
                     raise DimacsParseError(lineno, f"problem line counts must be ASCII digits: {line.strip()!r}")
-                n = int(sn)
-                declared = int(sm)
+                try:
+                    n, declared = int(sn), int(sm)
+                except ValueError:
+                    raise _long_number(lineno, fields) from None
+                if n > MAX_NODES:
+                    raise DimacsParseError(lineno, f"node count {n} exceeds limit {MAX_NODES}")
+                lists = [[] for _ in range(n)]
             else:
                 raise DimacsParseError(lineno, f"unknown line type {kind!r}")
     except UnicodeDecodeError as exc:
         raise GraphError(f"input is not UTF-8 text: {exc.reason}") from None
     if n < 0:
         raise DimacsParseError(lineno, "missing problem line")
-    if len(arcs) != declared:
-        raise HeaderMismatchError(declared, len(arcs))
-    return build_graph(n, arcs)
+    arc_lines = sum(map(len, lists))
+    if arc_lines != declared:
+        raise HeaderMismatchError(declared, arc_lines)
+    return _assemble(lists)
+
+
+def _long_number(lineno: int, fields: list[str]) -> DimacsParseError:
+    """A digit string too long for ``int`` (see ``sys.set_int_max_str_digits``)."""
+    return DimacsParseError(lineno, f"number of {max(map(len, fields))} digits is too long")
 
 
 def _arc_fault(u: int, v: int, w: int, n: int) -> str:

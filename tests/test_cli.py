@@ -185,6 +185,18 @@ class TestSolve:
         assert capsys.readouterr().err == f"error: line 3: {message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("text, message", [
+        ("c cap patched to 4\np sp 5 0\n", "error: line 2: node count 5 exceeds limit 4\n"),
+        ("p sp 3 1\na 1 2 " + "0" * 5000 + "5\n", "error: line 2: number of 5001 digits is too long\n"),
+    ], ids=["node-cap", "long-number"])
+    def test_oversized_input_fails_cleanly(self, tmp_path, capsys, monkeypatch, command, text, message):
+        monkeypatch.setattr("lizardpath.graph.MAX_NODES", 4)
+        gr = tmp_path / "big.gr"
+        gr.write_text(text)
+        assert main([command, str(gr)]) == 1
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_non_utf8_file_fails_cleanly(self, tmp_path, capsys, command):
         gr = tmp_path / "latin1.gr"
         gr.write_bytes(b"p sp 2 1\nc caf\xe9\na 1 2 5\n")

@@ -1,10 +1,13 @@
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lizardpath import (
     GenSpec,
+    Graph,
+    GraphError,
     HeaderMismatchError,
     DimacsParseError,
     LabelState,
@@ -20,7 +23,9 @@ from lizardpath import (
     load_dimacs,
     save_dimacs,
 )
-from lizardpath.graph import MAX_WEIGHT, WeightTooLargeError
+from lizardpath import graph as graph_module
+from lizardpath.cli import SUITES
+from lizardpath.graph import MAX_NODES, MAX_WEIGHT, WeightTooLargeError
 
 
 class TestBuildGraph:
@@ -65,6 +70,22 @@ class TestBuildGraph:
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
             build_graph(2, [(1, 1, 3)])
+
+    @pytest.mark.parametrize("arc, error, message", [
+        ((5, 5, 1), NodeOutOfRangeError, "node id 5 out of range [0, 2)"),
+        ((0, 7, -1), NodeOutOfRangeError, "node id 7 out of range [0, 2)"),
+        ((-1, 9, 1), NodeOutOfRangeError, "node id -1 out of range [0, 2)"),
+        ((3, 0, MAX_WEIGHT + 1), NodeOutOfRangeError, "node id 3 out of range [0, 2)"),
+        ((1, 1, -1), SelfLoopError, "self-loop on node 1 is not allowed"),
+        ((1, 1, MAX_WEIGHT + 1), SelfLoopError, "self-loop on node 1 is not allowed"),
+    ])
+    def test_arc_with_several_faults_raises_the_first(self, arc, error, message):
+        # order: node range (src, then dst), self-loop, negative weight,
+        # weight limit; a valid arc before the faulty one changes nothing
+        with pytest.raises(GraphError) as info:
+            build_graph(2, [(0, 1, 1), arc])
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_zero_weight_is_legal(self):
         g = build_graph(2, [(0, 1, 0)])
@@ -147,6 +168,26 @@ class TestDimacs:
         with pytest.raises(DimacsParseError, match="^line 1:"):
             load_dimacs(io.StringIO(f"p sp {field} 0\n"))
 
+    def test_node_count_cap(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_NODES", 3)
+        assert load_dimacs(io.StringIO("p sp 3 0\n")).n == 3
+        with pytest.raises(DimacsParseError, match=r"^line 2: node count 4 exceeds limit 3$"):
+            load_dimacs(io.StringIO("c too big\np sp 4 0\n"))
+
+    def test_node_count_cap_admits_paper_full(self):
+        sizes = [kw.get("n") or kw["rows"] * kw["cols"] for _, kw in SUITES["paper_full"]]
+        assert max(sizes) <= MAX_NODES
+
+    @pytest.mark.parametrize("text", [
+        "p sp 2 1\na 1 2 " + "0" * 5000 + "5\n",
+        "p sp 2 1\na " + "0" * 5000 + "1 2 5\n",
+        "c long count\n" + "p sp 2 " + "9" * 5000 + "\n",
+    ], ids=["arc-weight", "arc-id", "problem-count"])
+    def test_overlong_numbers_fail_with_line_number(self, text):
+        # int() refuses digit strings past sys.get_int_max_str_digits()
+        with pytest.raises(DimacsParseError, match=r"^line 2: number of 500[01] digits is too long$"):
+            load_dimacs(io.StringIO(text))
+
     def test_ids_are_one_based_in_files(self):
         buf = io.StringIO()
         save_dimacs(build_graph(2, [(0, 1, 5)]), buf)
@@ -217,3 +258,94 @@ def test_no_shorter_arms_under_oracle_labels(data):
     g = build_graph(n, [(u, v, w) for u, v, w in raw if u != v])
     dist, _ = dijkstra(g, 0)
     assert find_shorter_arms(g, labels_from_dist(n, dist)) == []
+
+
+# few nodes and weights, so parallel arcs are common
+parallel_arc_lists = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 9)).filter(
+                lambda a: a[0] != a[1]
+            ),
+            max_size=30,
+        ),
+    )
+)
+filler_lines = st.lists(st.sampled_from(["", "   ", "c", "c comment 1 2 3", "cx", "\t"]), max_size=2)
+
+
+@given(parallel_arc_lists, st.data())
+@settings(max_examples=200, deadline=None)
+def test_load_equals_build_with_parallel_arcs(case, data):
+    n, arcs = case
+    lines = data.draw(filler_lines) + [f"p sp {n} {len(arcs)}"]
+    for u, v, w in arcs:
+        lines += data.draw(filler_lines)
+        lines.append(f"a {u + 1} {v + 1} {w}")
+    lines += data.draw(filler_lines)
+    loaded = load_dimacs(io.StringIO("\n".join(lines) + "\n"))
+    built = build_graph(n, arcs)
+    assert loaded == built
+    assert loaded.arc_count == built.arc_count
+    # reference: each leaf at its first arc's position, with its least weight
+    expected: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v, w in arcs:
+        expected[u][v] = min(w, expected[u].get(v, w))
+    assert [loaded.leaf_set(v) for v in range(n)] == [tuple(e.items()) for e in expected]
+    assert loaded.arc_count == sum(map(len, expected))
+
+
+VALID_DIMACS = "c fuzz base\np sp 4 5\na 1 2 3\na 2 3 4\na 1 2 1\nc mid\na 3 4 0\na 4 1 4294967295\n"
+
+# one edit replaces `span` characters at `pos` by `payload`: insertions,
+# deletions and substitutions of the characters the format is made of
+edits = st.lists(
+    st.tuples(
+        st.integers(0, len(VALID_DIMACS)),
+        st.integers(0, 4),
+        st.one_of(
+            st.text(alphabet="apsc 0123456789\n\t-+_x.\u0661\u00b2\u00e9", max_size=6),
+            st.just("7" * 4400),
+        ),
+    ),
+    max_size=6,
+)
+
+
+def load_or_graph_error(stream) -> None:
+    """Loading either succeeds, and the graph round-trips, or raises
+    GraphError; any other exception fails the test."""
+    # bounds the allocation a fuzzed header can ask for
+    with mock.patch.object(graph_module, "MAX_NODES", 1000):
+        try:
+            g = load_dimacs(stream)
+        except GraphError:
+            return
+    assert isinstance(g, Graph)
+    buf = io.StringIO()
+    save_dimacs(g, buf)
+    buf.seek(0)
+    assert load_dimacs(buf) == g
+
+
+@given(edits)
+@settings(max_examples=400, deadline=None)
+def test_fuzz_mutated_file_loads_or_raises_graph_error(edit_list):
+    text = VALID_DIMACS
+    for pos, span, payload in edit_list:
+        pos %= len(text) + 1
+        text = text[:pos] + payload + text[pos + span:]
+    load_or_graph_error(io.StringIO(text))
+
+
+@given(st.text())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_arbitrary_text_loads_or_raises_graph_error(text):
+    load_or_graph_error(io.StringIO(text))
+
+
+@given(st.binary())
+@settings(max_examples=200, deadline=None)
+def test_fuzz_arbitrary_bytes_loads_or_raises_graph_error(data):
+    load_or_graph_error(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
