@@ -198,9 +198,6 @@ class LabelState:
         region[source] = 1
         return cls(parent, dist, region)
 
-    def copy(self) -> LabelState:
-        return LabelState(list(self.parent), list(self.dist), list(self.region))
-
 
 def find_shorter_arms(g: Graph, labels: LabelState) -> list[tuple[int, int]]:
     """All arcs that still violate optimality under the given labels.

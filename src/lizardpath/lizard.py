@@ -14,9 +14,10 @@ subtree descent.  Insertion keeps the tree's height logarithmic for any
 key order, scapegoat style (Galperin & Rivest 1993, with alpha = 2/3):
 when a fresh agency lands deeper than log_{3/2} of the item count, the
 lowest ancestor whose child on the path holds more than 2/3 of its
-subtree is rebuilt into a balanced shape.  That subtree's agencies are
-one contiguous run of the ARA, so collecting them is a walk along
-``next``.  Deletion never rebalances, so the height stays within
+subtree is rebuilt into a balanced shape.  Every subtree's agencies are
+one contiguous run of the ARA, so one climb from the leaf both sizes the
+subtrees on the way and collects the scapegoat's run, by stepping the
+ARA outward.  Deletion never rebalances, so the height stays within
 log_{3/2} of the largest size the structure has reached.
 
 Every operation charges an instrumented cost (the number of structure
@@ -123,11 +124,6 @@ class LizardEntity:
     def __contains__(self, node: int) -> bool:
         # uncharged O(1) bookkeeping test; see contains() for the charged inquiry
         return node in self._index
-
-    def min_key(self) -> int:
-        if self.ara_min is None:
-            raise EmptyStructureError()
-        return self.ara_min.key
 
     # -- construction ------------------------------------------------
 
@@ -241,7 +237,10 @@ class LizardEntity:
     def get_min_batch(self) -> list[int]:
         """Remove and return every node holding the minimum key.
 
-        Charge 2 per item, each counted as a deletion, and one batch;
+        The minimum agency has no left child, so it leaves the BST by
+        handing its right subtree to its parent's left link (or to the
+        root), and the ARA head moves one step along ``next``.  Charge 2
+        per item, each counted as a deletion, and one batch;
         :meth:`CostCounters.as_cut_agency` gives the per-batch charging.
         """
         agency = self.ara_min
@@ -253,7 +252,21 @@ class LizardEntity:
             nodes.append(cousin.node)
             cousin = cousin.cl_next
         kbatch = len(nodes)
-        self._excise_agency(agency)
+        up = agency.up
+        right = agency.right
+        if up is None:
+            self.bst_root = right
+        else:
+            up.left = right
+        if right is not None:
+            right.up = up
+        after = agency.next
+        self.ara_min = after
+        if after is None:
+            self.ara_max = None
+        else:
+            after.prev = None
+        _scrub(agency)
         index = self._index
         for n in nodes:
             del index[n]
@@ -289,42 +302,57 @@ class LizardEntity:
     def _rebuild_scapegoat(self, leaf: LizardItem) -> int:
         """Rebalance above a leaf that sits deeper than log_{3/2}(size).
 
-        Walks up from the leaf, counting each sibling subtree, to the
-        first ancestor whose child on the path holds more than 2/3 of
-        its subtree; one exists because the tree holds at most ``size``
-        nodes.  That ancestor's subtree is the ARA run starting at its
-        leftmost node, and is relinked balanced in its place.  Returns
-        the charge: nodes counted in the search plus nodes relinked.
+        Climbs from the leaf to the first ancestor whose child on the
+        path holds more than 2/3 of its subtree; one exists because the
+        tree holds at most ``size`` nodes.  Every subtree on the way is
+        one ARA run, so the climb keeps the current subtree's run and
+        grows it by stepping the ARA: along ``next`` past an ancestor
+        reached from the left and through its right subtree, along
+        ``prev`` past one reached from the right and through its left
+        subtree.  The run's length is the subtree size.  The scapegoat's
+        run is then relinked balanced in its place.  Returns the charge:
+        the nodes counted while searching (every node of the scapegoat
+        subtree but the leaf) plus the nodes relinked, ``2 * size - 1``.
         """
-        child = leaf
+        lo = hi = child = leaf
+        before: list[LizardItem] = []  # the run left of the leaf, descending
+        after = [leaf]  # the leaf and the run right of it, ascending
         child_size = 1
-        counted = 0
         while True:
             goat = child.up
-            sibling = goat.right if goat.left is child else goat.left
-            sibling_size = _subtree_size(sibling)
-            counted += 1 + sibling_size
-            goat_size = child_size + 1 + sibling_size
+            end = goat
+            if goat.left is child:
+                sub = goat.right
+                while sub is not None:
+                    end = sub
+                    sub = sub.right
+                while hi is not end:
+                    hi = hi.next
+                    after.append(hi)
+            else:
+                sub = goat.left
+                while sub is not None:
+                    end = sub
+                    sub = sub.left
+                while lo is not end:
+                    lo = lo.prev
+                    before.append(lo)
+            goat_size = len(before) + len(after)
             if 3 * child_size > 2 * goat_size:
                 break
             child = goat
             child_size = goat_size
-        first = goat
-        while first.left is not None:
-            first = first.left
-        run = [first]
-        for _ in range(goat_size - 1):
-            first = first.next
-            run.append(first)
+        before.reverse()
+        before += after
         up = goat.up
-        top = _pyramid(run, 0, goat_size, up)
+        top = _pyramid(before, 0, goat_size, up)
         if up is None:
             self.bst_root = top
         elif up.left is goat:
             up.left = top
         else:
             up.right = top
-        return counted + goat_size
+        return 2 * goat_size - 1
 
     # -- link plumbing -----------------------------------------------
 
@@ -465,28 +493,14 @@ class LizardEntity:
 _DEEPER_THAN_LOG = [(3**d + 2**d - 1) // 2**d for d in range(128)]
 
 
-def _subtree_size(item: LizardItem | None) -> int:
-    count = 0
-    stack = [item] if item is not None else []
-    while stack:
-        item = stack.pop()
-        count += 1
-        if item.left is not None:
-            stack.append(item.left)
-        if item.right is not None:
-            stack.append(item.right)
-    return count
-
-
-def _pyramid(agencies: list[LizardItem], lo: int, hi: int, up: LizardItem | None) -> LizardItem | None:
-    """Balanced BST over agencies[lo:hi] by recursive midpoint."""
-    if lo >= hi:
-        return None
+def _pyramid(agencies: list[LizardItem], lo: int, hi: int, up: LizardItem | None) -> LizardItem:
+    """Balanced BST over the non-empty agencies[lo:hi] by recursive
+    midpoint; recurses only into non-empty halves."""
     mid = (lo + hi) // 2
     item = agencies[mid]
     item.up = up
-    item.left = _pyramid(agencies, lo, mid, item)
-    item.right = _pyramid(agencies, mid + 1, hi, item)
+    item.left = _pyramid(agencies, lo, mid, item) if lo < mid else None
+    item.right = _pyramid(agencies, mid + 1, hi, item) if mid + 1 < hi else None
     return item
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lizardpath import build_graph, save_dimacs
+from lizardpath import build_graph, cli, save_dimacs
 from lizardpath.cli import (
     SUITES,
     build_parser,
@@ -282,6 +282,39 @@ class TestBench:
         monkeypatch.setitem(SUITES, "broken", broken)
         report = run_suite("broken", seed=1)
         assert report["rows"][0]["error"] is not None
+
+    @pytest.mark.parametrize("jobs, workers", [(64, [3]), (3, [3]), (2, [2]), (1, [])])
+    def test_jobs_clamped_to_row_count(self, monkeypatch, jobs, workers):
+        started = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        report = run_suite("mini", seed=4, jobs=jobs)
+        assert started == workers
+        assert report["jobs"] == min(jobs, len(MINI_SUITE))
+        assert all(row["error"] is None for row in report["rows"])
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, monkeypatch, tmp_path, capsys, jobs):
+        monkeypatch.setattr(cli, "run_suite", None)  # must not be reached
+        out = tmp_path / "report.json"
+        assert main(["bench", "--suite", "mini", "--jobs", jobs, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --jobs {jobs} must be at least 1\n"
+        assert not out.exists()
 
     def test_parallel_jobs_match_serial(self):
         serial = run_suite("mini", seed=4, jobs=1)

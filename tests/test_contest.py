@@ -137,7 +137,10 @@ class TestSolve:
         labels, metrics = solve_sssp(g)
         assert labels.dist == dijkstra(g, 0)[0]
         assert metrics.harmonic <= 8
-        assert metrics.le_counters.insert <= 4 * m * math.log2(m)
+        c = metrics.le_counters
+        assert c.insert <= 4 * m * math.log2(m)
+        # exact charges, including every scapegoat rebuild's
+        assert (c.insert, c.getmin, c.deletions, c.batches, metrics.le_cost) == (78259, 4002, 2001, 2001, 82262)
 
     def test_monotone_improvement_against_first_pass(self):
         for g in corpus(10, base=300):

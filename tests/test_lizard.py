@@ -257,6 +257,82 @@ def test_randomized_model_agreement():
     assert stats["max_size"] > 20
 
 
+def subtree_size(item) -> int:
+    """Nodes in the subtree under ``item``, counted by traversal."""
+    count = 0
+    stack = [item] if item is not None else []
+    while stack:
+        item = stack.pop()
+        count += 1
+        if item.left is not None:
+            stack.append(item.left)
+        if item.right is not None:
+            stack.append(item.right)
+    return count
+
+
+def reference_scapegoat(leaf):
+    """The scapegoat above a too-deep leaf and the rebuild's charge,
+    found by counting every sibling subtree on the climb."""
+    child, child_size, counted = leaf, 1, 0
+    while True:
+        goat = child.up
+        sibling = goat.right if goat.left is child else goat.left
+        sibling_size = subtree_size(sibling)
+        counted += 1 + sibling_size
+        goat_size = child_size + 1 + sibling_size
+        if 3 * child_size > 2 * goat_size:
+            return goat, counted + goat_size
+        child, child_size = goat, goat_size
+
+
+def in_order(item) -> list:
+    if item is None:
+        return []
+    return in_order(item.left) + [item] + in_order(item.right)
+
+
+def midpoint_links(run: list, lo: int, hi: int, up, links: dict):
+    """(up, left, right) of each item when run[lo:hi] is built by
+    recursive midpoint; returns the top item."""
+    if lo >= hi:
+        return None
+    mid = (lo + hi) // 2
+    left = midpoint_links(run, lo, mid, run[mid], links)
+    right = midpoint_links(run, mid + 1, hi, run[mid], links)
+    links[run[mid]] = (up, left, right)
+    return run[mid]
+
+
+class CheckedLizardEntity(LizardEntity):
+    """Checks every scapegoat rebuild against the traversal reference:
+    the same scapegoat subtree, relinked into the midpoint shape in its
+    place, and the same charge."""
+
+    __slots__ = ("rebuilds",)
+
+    def __init__(self):
+        super().__init__()
+        self.rebuilds = 0
+
+    def _rebuild_scapegoat(self, leaf):
+        goat, charge = reference_scapegoat(leaf)
+        up = goat.up
+        run = in_order(goat)
+        links: dict = {}
+        top = midpoint_links(run, 0, len(run), up, links)
+        got = super()._rebuild_scapegoat(leaf)
+        assert got == charge == 2 * len(run) - 1
+        if up is None:
+            assert self.bst_root is top
+        else:
+            assert top in (up.left, up.right)
+        assert {item: (item.up, item.left, item.right) for item in run} == links
+        assert verify_structure(self) is None
+        self.rebuilds += 1
+        return got
+
+
 def depth_within_log_three_halves(le: LizardEntity, size: int) -> bool:
     """Deepest node's depth <= log_{3/2}(size), in exact integers."""
     depth = le.bst_height() - 1
@@ -281,11 +357,12 @@ def test_bst_height_stays_sane_under_churn():
 
 @pytest.mark.parametrize("step", [1, -1])
 def test_sorted_inserts_stay_logarithmic(step):
-    le = LizardEntity()
+    le = CheckedLizardEntity()
     for i in range(600):
         le.insert(i, step * i)
         assert depth_within_log_three_halves(le, le.size), f"insert {i}: height {le.bst_height()}"
     assert verify_structure(le) is None
+    assert le.rebuilds > 0
     # a list-shaped tree would charge 600 * 601 / 2 = 180 300
     assert le.counters.insert <= 4 * 600 * math.log2(600)
 
@@ -297,25 +374,26 @@ def test_sorted_inserts_stay_logarithmic(step):
 )
 @settings(max_examples=150, deadline=None)
 def test_height_bound_under_interleaved_deletes(order, ops, seed):
-    """After every insert the structure is sound and no node is deeper
-    than log_{3/2} of the largest size reached.  Before the first removal
+    """After every operation the structure is sound, every rebuild
+    matches the traversal reference, and no node is deeper than
+    log_{3/2} of the largest size reached.  Before the first removal
     that size is the current one; deletions never rebalance, so after
     them the bound is on the peak."""
     rng = SplitMix64(seed)
-    le = LizardEntity()
+    le = CheckedLizardEntity()
     peak = 0
     for step, op in enumerate(ops):
         if op < 6 or not le.size:
             key = {"ascending": step, "descending": -step, "random": rng.below(500)}[order]
             le.insert(step, key)
             peak = max(peak, le.size)
-            assert verify_structure(le) is None
             assert depth_within_log_three_halves(le, peak)
         elif op < 8:
             victims = list(le._index)
             le.delete(victims[rng.below(len(victims))])
         else:
             le.get_min_batch()
+        assert verify_structure(le) is None
 
 
 def test_total_cost_is_sum_of_buckets():
