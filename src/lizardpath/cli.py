@@ -26,6 +26,9 @@ from .oracle import BRUTE_FORCE_LIMIT, bellman_ford, brute_force, dijkstra
 
 UNREACHABLE_SENTINEL = 0xFFFFFFFFFFFFFFFF
 
+# --dump-dist lines joined into one write
+_DUMP_LINES = 4096
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -138,8 +141,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             fh.write("\n")
     if args.dump_dist:
         with open(args.dump_dist, "w", encoding="utf-8") as fh:
-            for v, d in enumerate(dist):
-                fh.write(f"{v + 1} {'inf' if d is None else d}\n")
+            # one write per block of lines, so the text never sits whole in memory
+            for lo in range(0, len(dist), _DUMP_LINES):
+                fh.write("".join([f"{v} {'inf' if d is None else d}\n"
+                                  for v, d in enumerate(dist[lo:lo + _DUMP_LINES], start=lo + 1)]))
     print(
         f"{args.algo}: n={g.n} E={g.arc_count} source={args.source} "
         f"checksum={record['w_checksum']:016x} "

@@ -10,9 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import graph
 from .graph import Graph, GraphError
 
 _MASK64 = (1 << 64) - 1
+
+# Most arcs a spec may ask for: twice the ~4M of each paper_full instance.
+# Nodes are capped by graph.MAX_NODES, so every generated file loads back.
+MAX_ARCS = 2**23
 
 
 class DegreeTooLargeError(GraphError):
@@ -79,10 +84,24 @@ class GenSpec:
                 raise GraphError("grid needs rows >= 1 and cols >= 1")
         elif self.n < 1:
             raise GraphError("node count must be at least 1")
+        if self.node_count > graph.MAX_NODES:
+            raise GraphError(f"{self.node_count} nodes exceed limit {graph.MAX_NODES}")
+        if self.arc_count > MAX_ARCS:
+            raise GraphError(f"{self.arc_count} arcs exceed limit {MAX_ARCS}")
 
     @property
     def node_count(self) -> int:
         return self.rows * self.cols if self.family == "grid" else self.n
+
+    @property
+    def arc_count(self) -> int:
+        """Arcs the family generates from this spec, computed without
+        generating them."""
+        if self.family == "complete":
+            return self.n * (self.n - 1)
+        if self.family == "random":
+            return self.n * self.effective_m()
+        return 2 * (self.rows * (self.cols - 1) + self.cols * (self.rows - 1))
 
     def effective_m(self) -> int:
         return self.m if self.m > 0 else math.ceil(math.log2(self.n))

@@ -13,6 +13,10 @@ min-merges parallel arcs on the nodes that have any.
 
 from __future__ import annotations
 
+import json
+import re
+from itertools import repeat
+from operator import eq, sub
 from typing import Iterable, Iterator, TextIO
 
 # Arc weights must fit an unsigned 32-bit integer; path totals are
@@ -23,6 +27,20 @@ MAX_WEIGHT = 2**32 - 1
 # allocates one leaf list per node as soon as it reads the header, so an
 # unbounded count would exhaust memory before any arc is read.
 MAX_NODES = 2**24
+
+# load_dimacs reads its stream in blocks of this many characters.
+_BLOCK_CHARS = 65536
+
+# The longest run of arc lines load_dimacs splits and converts at once.
+# Longer runs convert no faster, and their token lists raise peak memory.
+_RUN_LINES = 512
+
+# A run of arc lines as save_dimacs writes them: ids from 1 and weights
+# with no leading zero, ten digits at most, so every number of a match is
+# a JSON integer that int() would read the same.
+_ARC_RUN = re.compile(
+    rf"(?:a [1-9][0-9]{{0,9}} [1-9][0-9]{{0,9}} (?:0|[1-9][0-9]{{0,9}})\n){{1,{_RUN_LINES}}}"
+)
 
 LeafList = tuple[tuple[int, int], ...]
 
@@ -220,7 +238,7 @@ def find_shorter_arms(g: Graph, labels: LabelState) -> list[tuple[int, int]]:
     return out
 
 
-def load_dimacs(stream: TextIO | Iterable[str]) -> Graph:
+def load_dimacs(stream: TextIO) -> Graph:
     """Parse the 9th DIMACS Challenge shortest-path text format.
 
     Accepts ``c`` comment lines, a single ``p sp <n> <m>`` header, and
@@ -228,57 +246,85 @@ def load_dimacs(stream: TextIO | Iterable[str]) -> Graph:
     are plain ASCII digit strings: no sign, no ``_`` separators, no
     other scripts' digits.  The header may declare at most
     :data:`MAX_NODES` nodes.  A stream that fails to decode raises
-    :class:`GraphError`.
+    :class:`GraphError`, before any fault in the lines of the same block.
 
-    One pass: the header allocates one leaf list per node, and each arc
-    line is checked once (errors name the line and the ids as written)
-    and appended to its root's list with 0-based ids.  ``m`` must equal
-    the number of arc lines; parallel arcs are then min-merged as in
+    One pass over blocks of :data:`_BLOCK_CHARS` characters, each cut
+    after its last line end, so memory never holds the whole text.  The
+    header allocates one leaf list per node.  After it, every run of up
+    to :data:`_RUN_LINES` arc lines spelled as :func:`save_dimacs`
+    writes them is split and converted at once, and its arcs are checked
+    together; any other line is read on its own.  Either way each arc
+    is checked once (errors name the line and the ids as written) and
+    appended to its root's list with 0-based ids.  ``m`` must equal the
+    number of arc lines; parallel arcs are then min-merged as in
     :func:`build_graph`.
     """
     n = -1
     declared = -1
     lists: list[list[tuple[int, int]]] = []
     lineno = 0
+    pending: list[str] = []  # the unfinished line carried between blocks
     try:
-        for lineno, line in enumerate(stream, start=1):
-            fields = line.split()
-            if not fields:
+        while True:
+            block = stream.read(_BLOCK_CHARS)
+            cut = block.rfind("\n") + 1
+            if block and not cut:
+                pending.append(block)
                 continue
-            kind = fields[0]
-            if kind == "a":
-                if len(fields) != 4:
-                    raise DimacsParseError(lineno, f"malformed arc line: {line.strip()!r}")
-                _, su, sv, sw = fields
-                if not (line.isascii() and su.isdigit() and sv.isdigit() and sw.isdigit()):
-                    raise DimacsParseError(lineno, f"arc line fields must be ASCII digits: {line.strip()!r}")
-                try:
-                    u, v, w = int(su), int(sv), int(sw)
-                except ValueError:
-                    raise _long_number(lineno, fields) from None
-                # n is -1 until the problem line, so this also catches arcs before it
-                if not (0 < u <= n and 0 < v <= n) or u == v or w > MAX_WEIGHT:
-                    raise DimacsParseError(lineno, _arc_fault(u, v, w, n))
-                lists[u - 1].append((v - 1, w))
-            elif kind.startswith("c"):
-                continue
-            elif kind == "p":
-                if n >= 0:
-                    raise DimacsParseError(lineno, "duplicate problem line")
-                if len(fields) != 4 or fields[1] != "sp":
-                    raise DimacsParseError(lineno, f"malformed problem line: {line.strip()!r}")
-                _, _, sn, sm = fields
-                if not (line.isascii() and sn.isdigit() and sm.isdigit()):
-                    raise DimacsParseError(lineno, f"problem line counts must be ASCII digits: {line.strip()!r}")
-                try:
-                    n, declared = int(sn), int(sm)
-                except ValueError:
-                    raise _long_number(lineno, fields) from None
-                if n > MAX_NODES:
-                    raise DimacsParseError(lineno, f"node count {n} exceeds limit {MAX_NODES}")
-                lists = [[] for _ in range(n)]
-            else:
-                raise DimacsParseError(lineno, f"unknown line type {kind!r}")
+            pending.append(block[:cut])
+            text = "".join(pending)
+            pending = [block[cut:]]
+            pos = 0
+            end = len(text)
+            while pos < end:
+                run = _ARC_RUN.match(text, pos) if n >= 0 else None
+                if run:
+                    lineno = _add_arc_run(run.group(), lists, n, lineno)
+                    pos = run.end()
+                    continue
+                nl = text.find("\n", pos) + 1 or end
+                line = text[pos:nl]
+                pos = nl
+                lineno += 1
+                fields = line.split()
+                if not fields:
+                    continue
+                kind = fields[0]
+                if kind == "a":
+                    if len(fields) != 4:
+                        raise DimacsParseError(lineno, f"malformed arc line: {line.strip()!r}")
+                    _, su, sv, sw = fields
+                    if not (line.isascii() and su.isdigit() and sv.isdigit() and sw.isdigit()):
+                        raise DimacsParseError(lineno, f"arc line fields must be ASCII digits: {line.strip()!r}")
+                    try:
+                        u, v, w = int(su), int(sv), int(sw)
+                    except ValueError:
+                        raise _long_number(lineno, fields) from None
+                    # n is -1 until the problem line, so this also catches arcs before it
+                    if not (0 < u <= n and 0 < v <= n) or u == v or w > MAX_WEIGHT:
+                        raise DimacsParseError(lineno, _arc_fault(u, v, w, n))
+                    lists[u - 1].append((v - 1, w))
+                elif kind.startswith("c"):
+                    continue
+                elif kind == "p":
+                    if n >= 0:
+                        raise DimacsParseError(lineno, "duplicate problem line")
+                    if len(fields) != 4 or fields[1] != "sp":
+                        raise DimacsParseError(lineno, f"malformed problem line: {line.strip()!r}")
+                    _, _, sn, sm = fields
+                    if not (line.isascii() and sn.isdigit() and sm.isdigit()):
+                        raise DimacsParseError(lineno, f"problem line counts must be ASCII digits: {line.strip()!r}")
+                    try:
+                        n, declared = int(sn), int(sm)
+                    except ValueError:
+                        raise _long_number(lineno, fields) from None
+                    if n > MAX_NODES:
+                        raise DimacsParseError(lineno, f"node count {n} exceeds limit {MAX_NODES}")
+                    lists = [[] for _ in range(n)]
+                else:
+                    raise DimacsParseError(lineno, f"unknown line type {kind!r}")
+            if not block:
+                break
     except UnicodeDecodeError as exc:
         raise GraphError(f"input is not UTF-8 text: {exc.reason}") from None
     if n < 0:
@@ -287,6 +333,30 @@ def load_dimacs(stream: TextIO | Iterable[str]) -> Graph:
     if arc_lines != declared:
         raise HeaderMismatchError(declared, arc_lines)
     return _assemble(lists)
+
+
+def _add_arc_run(run: str, lists: list[list[tuple[int, int]]], n: int, lineno: int) -> int:
+    """Check and append the arcs of one :data:`_ARC_RUN` match, whose
+    first line follows line ``lineno``; return the number of its last line.
+
+    The run's numbers are converted by one ``json.loads`` call, which
+    costs less than a ``split`` and an ``int`` per number, and the whole
+    run is checked at once; only a run that fails is scanned for its
+    first bad arc, which raises the error the line on its own would.
+    """
+    # "a 1 2 5\na 3 4 6\n" -> "[1,2,5,3,4,6]"
+    nums = json.loads("[" + run[2:-1].replace("\na ", " ").replace(" ", ",") + "]")
+    us = nums[0::3]
+    vs = nums[1::3]
+    ws = nums[2::3]
+    # the pattern already keeps every id at 1 or more
+    if max(us) > n or max(vs) > n or max(ws) > MAX_WEIGHT or any(map(eq, us, vs)):
+        for i, (u, v, w) in enumerate(zip(us, vs, ws), start=lineno + 1):
+            if not (0 < u <= n and 0 < v <= n) or u == v or w > MAX_WEIGHT:
+                raise DimacsParseError(i, _arc_fault(u, v, w, n))
+    for u, leaf in zip(us, zip(map(sub, vs, repeat(1)), ws)):
+        lists[u - 1].append(leaf)
+    return lineno + len(us)
 
 
 def _long_number(lineno: int, fields: list[str]) -> DimacsParseError:
@@ -307,7 +377,9 @@ def _arc_fault(u: int, v: int, w: int, n: int) -> str:
 
 
 def save_dimacs(g: Graph, stream: TextIO) -> None:
-    """Write a graph in DIMACS shortest-path format with 1-based ids."""
-    stream.write(f"p sp {g.n} {g.arc_count}\n")
-    for src, dst, w in g.arcs():
-        stream.write(f"a {src + 1} {dst + 1} {w}\n")
+    """Write a graph in DIMACS shortest-path format with 1-based ids,
+    one ``write`` per node's arcs."""
+    write = stream.write
+    write(f"p sp {g.n} {g.arc_count}\n")
+    for src, leaves in enumerate(g._adj, start=1):
+        write("".join([f"a {src} {dst + 1} {w}\n" for dst, w in leaves]))

@@ -250,7 +250,10 @@ class LizardEntity:
         cousin = agency.cl_next
         while cousin is not None and cousin is not agency:
             nodes.append(cousin.node)
-            cousin = cousin.cl_next
+            # unlinked, the reaped cousins are freed by reference counting
+            nxt = cousin.cl_next
+            cousin.cl_next = cousin.cl_prev = None
+            cousin = nxt
         kbatch = len(nodes)
         up = agency.up
         right = agency.right

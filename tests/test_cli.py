@@ -80,6 +80,18 @@ class TestGen:
         assert main(["gen", "--family", "complete", "--n", "1", "-o", str(out)]) == 0
         assert out.read_text() == "p sp 1 0\n"
 
+    @pytest.mark.parametrize("args, cap, message", [
+        (["--family", "complete", "--n", "11"], "lizardpath.generators.MAX_ARCS", "110 arcs exceed limit 100"),
+        (["--family", "grid", "--rows", "11", "--cols", "10"], "lizardpath.graph.MAX_NODES",
+         "110 nodes exceed limit 100"),
+    ])
+    def test_oversized_spec_fails_cleanly(self, tmp_path, capsys, monkeypatch, args, cap, message):
+        monkeypatch.setattr(cap, 100)
+        out = tmp_path / "big.gr"
+        assert main(["gen", *args, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_random_arc_count(self, tmp_path, capsys):
         out = tmp_path / "r.gr"
         assert main(["gen", "--family", "random", "--n", "1000", "--m", "10", "-o", str(out)]) == 0
@@ -103,6 +115,14 @@ class TestSolve:
         assert record["origin_mode"] == "inline_seeking"
         assert record["Q_S"] >= 1
         assert dump.read_text() == "1 0\n2 2\n3 1\n"
+
+    def test_dump_lines_across_write_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_DUMP_LINES", 2)
+        gr = tmp_path / "p.gr"
+        gr.write_text("p sp 5 3\na 1 2 4\na 2 3 0\na 3 4 7\n")
+        dump = tmp_path / "d.txt"
+        assert main(["solve", str(gr), "--dump-dist", str(dump)]) == 0
+        assert dump.read_text() == "1 0\n2 4\n3 4\n4 11\n5 inf\n"
 
     def test_layered_instance_first_pass_matches_oracle(self, tmp_path):
         g = gen_layered_dag(80, seed=3)

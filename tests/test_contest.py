@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -12,12 +13,14 @@ from lizardpath import (
     contest_run,
     dijkstra,
     find_shorter_arms,
+    gen_grid,
     gen_random_sparse,
     generate,
     hdm_run,
     solve_sssp,
 )
 from lizardpath.cli import SUITES, checksum_dist
+from lizardpath.lizard import LizardItem
 from conftest import gen_layered_dag, make_chain
 
 
@@ -101,6 +104,24 @@ class TestSolve:
         cut = m.le_counters.as_cut_agency()
         assert (m.deletions, cut.deletions) == (32, 16)  # golden for this seed
         assert cut.total_cost < m.le_cost
+
+    def test_tied_solve_leaves_no_cyclic_garbage(self):
+        # reaped cousins must not stay linked to each other, or every
+        # batch of three or more items waits for the cyclic collector
+        g = gen_grid(GenSpec(family="grid", rows=20, cols=20, seed=7, weight_range=(1, 2)))
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            labels, m = solve_sssp(g)
+            assert m.deletions > m.le_counters.as_cut_agency().deletions  # batches with cousins ran
+            gc.collect()
+            assert not [obj for obj in gc.garbage if isinstance(obj, LizardItem)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert labels.dist == dijkstra(g, 0)[0]
 
     def test_nonzero_source(self):
         g = gen_random_sparse(50, 0.3, seed=5)

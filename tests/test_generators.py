@@ -13,6 +13,9 @@ from lizardpath import (
     gen_random_sparse,
     generate,
 )
+from lizardpath import generators as generators_module
+from lizardpath import graph as graph_module
+from lizardpath.cli import SUITES
 
 
 class TestSplitMix64:
@@ -62,6 +65,49 @@ class TestGenSpec:
     def test_default_degree_is_log2(self):
         assert GenSpec(family="random", n=1000).effective_m() == 10
         assert GenSpec(family="random", n=1000, m=18).effective_m() == 18
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(family="complete", n=1),
+        dict(family="complete", n=7),
+        dict(family="random", n=50, m=4),
+        dict(family="random", n=300),
+        dict(family="grid", rows=1, cols=1),
+        dict(family="grid", rows=1, cols=6),
+        dict(family="grid", rows=5, cols=8),
+    ])
+    def test_arc_count_is_what_generate_makes(self, kwargs):
+        spec = GenSpec(**kwargs)
+        assert spec.arc_count == generate(spec).arc_count
+
+    @pytest.mark.parametrize("kwargs, nodes", [
+        (dict(family="complete", n=100), 100),
+        (dict(family="random", n=100, m=2), 100),
+        (dict(family="grid", rows=10, cols=10), 100),
+    ])
+    def test_node_cap(self, monkeypatch, kwargs, nodes):
+        monkeypatch.setattr(graph_module, "MAX_NODES", nodes)
+        GenSpec(**kwargs)
+        monkeypatch.setattr(graph_module, "MAX_NODES", nodes - 1)
+        with pytest.raises(GraphError, match=f"^{nodes} nodes exceed limit {nodes - 1}$"):
+            GenSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, arcs", [
+        (dict(family="complete", n=10), 90),
+        (dict(family="random", n=30, m=3), 90),
+        (dict(family="random", n=1024), 10240),
+        (dict(family="grid", rows=4, cols=7), 90),
+    ])
+    def test_arc_cap(self, monkeypatch, kwargs, arcs):
+        monkeypatch.setattr(generators_module, "MAX_ARCS", arcs)
+        GenSpec(**kwargs)
+        monkeypatch.setattr(generators_module, "MAX_ARCS", arcs - 1)
+        with pytest.raises(GraphError, match=f"^{arcs} arcs exceed limit {arcs - 1}$"):
+            GenSpec(**kwargs)
+
+    def test_caps_admit_every_suite(self):
+        specs = [GenSpec(**kw) for suite in SUITES.values() for _, kw in suite]
+        assert max(s.arc_count for s in specs) <= generators_module.MAX_ARCS
+        assert max(s.node_count for s in specs) <= graph_module.MAX_NODES
 
 
 class TestComplete:

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import re
 from unittest import mock
 
 import pytest
@@ -20,12 +22,13 @@ from lizardpath import (
     gen_complete,
     gen_grid,
     gen_random_sparse,
+    generate,
     load_dimacs,
     save_dimacs,
 )
 from lizardpath import graph as graph_module
 from lizardpath.cli import SUITES
-from lizardpath.graph import MAX_NODES, MAX_WEIGHT, WeightTooLargeError
+from lizardpath.graph import _RUN_LINES, MAX_NODES, MAX_WEIGHT, WeightTooLargeError
 
 
 class TestBuildGraph:
@@ -193,10 +196,88 @@ class TestDimacs:
         save_dimacs(build_graph(2, [(0, 1, 5)]), buf)
         assert buf.getvalue() == "p sp 2 1\na 1 2 5\n"
 
+    @pytest.mark.parametrize("kwargs, digest", [
+        (dict(family="complete", n=60), "06e8b7d4553813d4ee5c51797642a646128f25cadf088c986df20bfcfe4f177a"),
+        (dict(family="random", n=2000), "f35da7e63fba6ee0d969d734ceaab8b76ac605f8ea450c560cef9e3638aff65e"),
+        (dict(family="grid", rows=40, cols=40), "b93746a98a397884363247c3429764be6cc49270cb27a2bcae5336b45aa3141b"),
+    ])
+    def test_saved_text_is_pinned(self, kwargs, digest):
+        # SHA-256 of the file each family writes for seed 1; a change to
+        # save_dimacs or to a generator's stream changes it
+        buf = io.StringIO()
+        save_dimacs(generate(GenSpec(seed=1, **kwargs)), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
     def test_load_collapses_parallel_arcs(self):
         g = load_dimacs(io.StringIO("p sp 2 2\na 1 2 7\na 1 2 3\n"))
         assert g.arc_count == 1
         assert g.leaf_set(0) == ((1, 3),)
+
+
+def respelled(text: str, spelling: str = "a\t{} {} {}") -> str:
+    """The text with every arc line of single-spaced digit fields written
+    another way, so that load_dimacs reads none of them in a run."""
+    return re.sub(r"(?m)^a ([0-9]+) ([0-9]+) ([0-9]+)$", lambda m: spelling.format(*m.groups()), text)
+
+
+def load_outcome(text: str):
+    """The loaded graph, or the type and message of the GraphError."""
+    try:
+        return load_dimacs(io.StringIO(text))
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def arc_lines(count: int, bad: int, arc: str) -> str:
+    """A three-node file whose header is line 1, followed by ``count``
+    arc lines, line ``bad`` of the file being ``arc``."""
+    lines = ["a 1 2 5"] * count
+    lines[bad - 2] = arc
+    return f"p sp 3 {count}\n" + "".join(line + "\n" for line in lines)
+
+
+class TestArcRuns:
+    """The arc lines save_dimacs writes are read a run at a time; the
+    same text spelled off that form is read line by line, and both must
+    give the same graph or the same error."""
+
+    @pytest.mark.parametrize("bad, arc, message", [
+        (2, "a 1 1 5", "self-loop on node 1 is not allowed"),
+        (_RUN_LINES + 1, "a 1 4 5", "node id 4 out of range [1, 3]"),
+        (_RUN_LINES + 2, "a 0 2 5", "node id 0 out of range [1, 3]"),
+        (_RUN_LINES + 3, f"a 2 3 {MAX_WEIGHT + 1}", f"weight {MAX_WEIGHT + 1} exceeds 32-bit limit {MAX_WEIGHT}"),
+    ], ids=["first-of-run", "last-of-run", "first-past-run", "second-past-run"])
+    def test_bad_arc_in_run_names_its_line(self, bad, arc, message):
+        text = arc_lines(_RUN_LINES + 8, bad, arc)
+        expected = (DimacsParseError, f"line {bad}: {message}")
+        assert load_outcome(text) == expected
+        assert load_outcome(respelled(text)) == expected
+
+    def test_runs_across_blocks_load_the_same_graph(self, monkeypatch):
+        text = "c made by hand\n" + arc_lines(40, 9, "a 3 1 4294967295")[:-1]  # no final line end
+        expected = load_outcome(respelled(text))
+        assert expected == build_graph(3, [(0, 1, 5), (2, 0, MAX_WEIGHT)])
+        for block in (1, 5, 8, 64):
+            monkeypatch.setattr(graph_module, "_BLOCK_CHARS", block)
+            assert load_outcome(text) == expected
+
+    def test_bad_arc_across_a_block_boundary(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_BLOCK_CHARS", 64)
+        # "p sp 3 12\n" is 10 characters and each arc line 8, so line 8
+        # spans characters 58-65 and the first block ends inside it
+        text = arc_lines(12, 8, "a 2 2 9")
+        start = len("".join(text.splitlines(keepends=True)[:7]))
+        assert start < 64 < start + 8
+        assert load_outcome(text) == (DimacsParseError, "line 8: self-loop on node 2 is not allowed")
+
+    def test_lines_longer_than_a_block(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_BLOCK_CHARS", 16)
+        text = ("c " + "x" * 100 + "\np sp 3 3\na 1 2 5\na 2 3 " + "0" * 40 + "7\n"
+                "a 3 1 1" + " " * 50)
+        g = load_dimacs(io.StringIO(text))
+        assert g == build_graph(3, [(0, 1, 5), (1, 2, 7), (2, 0, 1)])
+        with pytest.raises(DimacsParseError, match=r"^line 4: node id 4 out of range \[1, 3\]$"):
+            load_dimacs(io.StringIO(text.replace("a 2 3 0", "a 4 3 0")))
 
 
 def labels_from_dist(n: int, dist: list) -> LabelState:
@@ -294,6 +375,29 @@ def test_load_equals_build_with_parallel_arcs(case, data):
         expected[u][v] = min(w, expected[u].get(v, w))
     assert [loaded.leaf_set(v) for v in range(n)] == [tuple(e.items()) for e in expected]
     assert loaded.arc_count == sum(map(len, expected))
+
+
+# mostly valid arcs on four nodes, so runs get long before a fault
+node_ids = st.sampled_from([1, 2, 3, 4] * 3 + [0, 5, "01", "0000000003", "99999999999"])
+weights = st.sampled_from([0, 1, 7, 42, 1000] * 3 + [MAX_WEIGHT, MAX_WEIGHT + 1, "0042", "9999999999", "12345678901"])
+dimacs_lines = st.one_of(
+    st.tuples(node_ids, node_ids, weights).map(lambda a: "a {} {} {}".format(*a)),
+    st.sampled_from(["c note", "", "p sp 4 3", "a 1 2", "a 1 2 3\r", " a 1 2 3", "a 1 2 -3"]),
+)
+
+
+@given(
+    st.sampled_from(["p sp 4 {}\n", "c first\np sp 4 {}\n", ""]),
+    st.lists(dimacs_lines, max_size=40),
+    st.booleans(),
+    st.sampled_from([1, 3, 16, 65536]),
+    st.sampled_from(["a\t{} {} {}", "a  {} {} {}", "a {} {}\t{}", "a {} {} {} "]),
+)
+@settings(max_examples=300, deadline=None)
+def test_run_and_line_reads_agree(header, lines, final_newline, block, spelling):
+    text = header.format(len(lines)) + "\n".join(lines) + ("\n" if final_newline else "")
+    with mock.patch.object(graph_module, "_BLOCK_CHARS", block):
+        assert load_outcome(text) == load_outcome(respelled(text, spelling))
 
 
 VALID_DIMACS = "c fuzz base\np sp 4 5\na 1 2 3\na 2 3 4\na 1 2 1\nc mid\na 3 4 0\na 4 1 4294967295\n"

@@ -188,6 +188,13 @@ class TestGetMinBatch:
         assert le.counters.getmin == 6
         assert le.counters.batches == 1
 
+    def test_reaped_items_keep_no_links(self):
+        le = LizardEntity.build([(0, 5), (1, 5), (2, 5), (3, 9)])
+        reaped = [le._index[v] for v in (0, 1, 2)]
+        le.get_min_batch()
+        for item in reaped:
+            assert (item.cl_next, item.cl_prev, item.up, item.next) == (None, None, None, None)
+
     def test_empty_structure_raises(self):
         with pytest.raises(EmptyStructureError):
             LizardEntity().get_min_batch()
