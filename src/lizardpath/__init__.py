@@ -14,7 +14,6 @@ from .generators import (
     gen_complete,
     gen_grid,
     gen_random,
-    gen_random_sparse,
     generate,
 )
 from .graph import (
@@ -31,7 +30,7 @@ from .graph import (
     load_dimacs,
     save_dimacs,
 )
-from .hdm import HdmOutput, RegionPartition, check_partition, collect_origins, hdm_run
+from .hdm import HdmOutput, RegionPartition, collect_origins, hdm_run
 from .lizard import (
     CostCounters,
     DuplicateNodeError,
@@ -39,7 +38,6 @@ from .lizard import (
     LizardEntity,
     LizardItem,
     MissingNodeError,
-    verify_structure,
 )
 from .oracle import TooLargeError, bellman_ford, brute_force, dijkstra
 
@@ -48,10 +46,9 @@ __all__ = [
     "load_dimacs", "save_dimacs", "NodeOutOfRangeError", "NegativeWeightError",
     "SelfLoopError", "DimacsParseError", "HeaderMismatchError",
     "GenSpec", "SplitMix64", "generate", "gen_complete", "gen_random",
-    "gen_grid", "gen_random_sparse", "DegreeTooLargeError",
-    "HdmOutput", "RegionPartition", "hdm_run",
-    "collect_origins", "check_partition",
-    "LizardEntity", "LizardItem", "CostCounters", "verify_structure",
+    "gen_grid", "DegreeTooLargeError",
+    "HdmOutput", "RegionPartition", "hdm_run", "collect_origins",
+    "LizardEntity", "LizardItem", "CostCounters",
     "DuplicateNodeError", "MissingNodeError", "EmptyStructureError",
     "contest_run", "solve_sssp", "SolveOptions", "RunMetrics", "UnlabeledOriginError",
     "dijkstra", "bellman_ford", "brute_force", "TooLargeError",

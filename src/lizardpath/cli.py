@@ -34,13 +34,6 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
-
 # FNV-1a hashes a zero byte as a bare multiply by the prime, so a run of
 # k zero bytes is one multiply by _FNV_PRIME**k mod 2**64.
 _ZERO_RUN = [pow(_FNV_PRIME, k, 1 << 64) for k in range(9)]
@@ -50,8 +43,8 @@ def checksum_dist(dist: list[int | None]) -> int:
     """64-bit FNV-1a over the distance vector, 8-byte little-endian words;
     unreachable entries hash as the all-ones sentinel.
 
-    Equal to ``fnv1a64`` over the concatenated words; each word's zero
-    high bytes are folded into one multiply.
+    Equal to byte-wise FNV-1a over the concatenated words; each word's
+    zero high bytes are folded into one multiply.
     """
     h = _FNV_OFFSET
     for d in dist:

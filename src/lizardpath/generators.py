@@ -52,17 +52,15 @@ class SplitMix64:
     def below(self, n: int) -> int:
         return self.randint(0, n - 1)
 
-    def chance(self, p: float) -> bool:
-        return self.next_u64() < p * 2.0**64
-
 
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters for one generated instance.
 
     ``n`` is ignored for the grid family (rows * cols is used); ``m`` is
-    the per-node out-degree of the random family and defaults to
-    ceil(log2 n).
+    the per-node out-degree of the random family, and 0 means the
+    default, ceil(log2 n).  Weights lie in 1..graph.MAX_WEIGHT, so every
+    generated graph saves to a file that loads back.
     """
 
     family: str  # complete | random | grid
@@ -77,8 +75,12 @@ class GenSpec:
         if self.family not in ("complete", "random", "grid"):
             raise GraphError(f"unknown family {self.family!r}")
         w_min, w_max = self.weight_range
-        if not 1 <= w_min <= w_max:
-            raise GraphError(f"weight range {self.weight_range} must satisfy 1 <= min <= max")
+        if not 1 <= w_min <= w_max <= graph.MAX_WEIGHT:
+            raise GraphError(
+                f"weight range {self.weight_range} must satisfy 1 <= min <= max <= {graph.MAX_WEIGHT}"
+            )
+        if self.m < 0:
+            raise GraphError(f"out-degree {self.m} must not be negative")
         if self.family == "grid":
             if self.rows < 1 or self.cols < 1:
                 raise GraphError("grid needs rows >= 1 and cols >= 1")
@@ -189,31 +191,3 @@ def gen_grid(spec: GenSpec) -> Graph:
                 yield leaves
 
     return Graph._from_leaf_lists(rows * cols, leaf_lists())
-
-
-def gen_random_sparse(
-    n: int,
-    density: float,
-    seed: int,
-    weight_range: tuple[int, int] = (0, 1000),
-) -> Graph:
-    """Erdos-Renyi style digraph for the property-test corpus.
-
-    Each ordered pair (u, v), u != v, is included with the given
-    probability; nodes may end up unreachable.  Weight range defaults to
-    [0, 1000] so zero-weight arcs are exercised.
-    """
-    if not 0.0 < density <= 1.0:
-        raise GraphError(f"density {density} must be in (0, 1]")
-    w_min, w_max = weight_range
-    rng = SplitMix64(seed)
-
-    def leaf_lists():
-        for u in range(n):
-            leaves = []
-            for v in range(n):
-                if v != u and rng.chance(density):
-                    leaves.append((v, rng.randint(w_min, w_max)))
-            yield leaves
-
-    return Graph._from_leaf_lists(n, leaf_lists())

@@ -97,39 +97,3 @@ def collect_origins(g: Graph, labels: LabelState) -> list[int]:
     that pass's ``origins``, and serves as their reference.
     """
     return list(dict.fromkeys(v for v, _ in find_shorter_arms(g, labels)))
-
-
-def check_partition(g: Graph, out: HdmOutput, source: int) -> str | None:
-    """Validate region-partition invariants; returns a message or None.
-
-    Checks: first region is exactly the source, regions are disjoint,
-    their union is the reachable set, and every node in region i > 1 has
-    an in-arc from region i-1.
-    """
-    regions = out.partition.regions
-    region = out.labels.region
-    if not regions or regions[0] != [source]:
-        return "first region must be exactly [source]"
-    seen: set[int] = set()
-    for idx, nodes in enumerate(regions, start=1):
-        for v in nodes:
-            if v in seen:
-                return f"node {v} appears in two regions"
-            seen.add(v)
-            if region[v] != idx:
-                return f"node {v} region id {region[v]} != layer {idx}"
-    labeled = {v for v in range(g.n) if region[v] > 0}
-    if seen != labeled:
-        return "regions do not cover exactly the labeled nodes"
-    # feed arcs: some in-arc from the previous layer must exist
-    feeds: list[set[int]] = [set() for _ in range(len(regions) + 2)]
-    for v, leaf, _ in g.arcs():
-        rv = region[v]
-        rl = region[leaf]
-        if rv > 0 and rl == rv + 1:
-            feeds[rl].add(leaf)
-    for idx in range(2, len(regions) + 1):
-        for v in regions[idx - 1]:
-            if v not in feeds[idx]:
-                return f"node {v} in region {idx} has no arc from region {idx - 1}"
-    return None

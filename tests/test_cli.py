@@ -11,7 +11,6 @@ from lizardpath.cli import (
     SUITES,
     build_parser,
     checksum_dist,
-    fnv1a64,
     main,
     metrics_record,
     report_csv,
@@ -19,6 +18,14 @@ from lizardpath.cli import (
     verify_instance,
 )
 from conftest import gen_layered_dag
+
+def fnv1a64(data: bytes) -> int:
+    """Byte-wise 64-bit FNV-1a, the reference for ``checksum_dist``."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
 
 TRIANGLE_GR = "p sp 3 3\na 1 2 10\na 1 3 1\na 3 2 1\n"
 
@@ -88,6 +95,17 @@ class TestGen:
     def test_oversized_spec_fails_cleanly(self, tmp_path, capsys, monkeypatch, args, cap, message):
         monkeypatch.setattr(cap, 100)
         out = tmp_path / "big.gr"
+        assert main(["gen", *args, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--family", "random", "--n", "100", "--m", "-3"], "out-degree -3 must not be negative"),
+        (["--family", "grid", "--rows", "2", "--cols", "2", "--wmin", "4294967296", "--wmax", "4294967300"],
+         "weight range (4294967296, 4294967300) must satisfy 1 <= min <= max <= 4294967295"),
+    ])
+    def test_bad_spec_fails_cleanly(self, tmp_path, capsys, args, message):
+        out = tmp_path / "bad.gr"
         assert main(["gen", *args, "-o", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
@@ -364,3 +382,12 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command, comments=True)[1:])
+
+
+def test_readme_library_example_runs():
+    """The README's ``python`` block runs as written, so a renamed or
+    removed export fails here."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -14,14 +14,13 @@ from lizardpath import (
     dijkstra,
     find_shorter_arms,
     gen_grid,
-    gen_random_sparse,
     generate,
     hdm_run,
     solve_sssp,
 )
 from lizardpath.cli import SUITES, checksum_dist
 from lizardpath.lizard import LizardItem
-from conftest import gen_layered_dag, make_chain
+from conftest import gen_layered_dag, gen_random_sparse, make_chain
 
 
 def corpus(count, base=0):

@@ -10,12 +10,12 @@ from lizardpath import (
     gen_complete,
     gen_grid,
     gen_random,
-    gen_random_sparse,
     generate,
 )
 from lizardpath import generators as generators_module
 from lizardpath import graph as graph_module
 from lizardpath.cli import SUITES
+from conftest import gen_random_sparse
 
 
 class TestSplitMix64:
@@ -42,10 +42,6 @@ class TestSplitMix64:
         assert min(xs) >= 3 and max(xs) <= 17
         assert len(set(xs)) == 15  # all values hit at this sample size
 
-    def test_chance_extremes(self):
-        rng = SplitMix64(5)
-        assert all(rng.chance(1.0) for _ in range(100))
-
 
 class TestGenSpec:
     def test_weight_range_must_be_positive(self):
@@ -53,6 +49,20 @@ class TestGenSpec:
             GenSpec(family="complete", n=3, weight_range=(0, 10))
         with pytest.raises(GraphError):
             GenSpec(family="complete", n=3, weight_range=(5, 4))
+
+    def test_weights_above_the_file_limit_rejected(self):
+        limit = graph_module.MAX_WEIGHT
+        GenSpec(family="grid", rows=2, cols=2, weight_range=(limit, limit))
+        with pytest.raises(GraphError, match=f"<= {limit}$"):
+            GenSpec(family="grid", rows=2, cols=2, weight_range=(limit + 1, limit + 5))
+        with pytest.raises(GraphError):
+            GenSpec(family="complete", n=3, weight_range=(1, limit + 1))
+
+    def test_negative_degree_rejected(self):
+        for family in ("random", "complete"):
+            with pytest.raises(GraphError, match="^out-degree -3 must not be negative$"):
+                GenSpec(family=family, n=100, m=-3)
+        assert GenSpec(family="random", n=100, m=0).effective_m() == 7  # 0 is the default
 
     def test_unknown_family(self):
         with pytest.raises(GraphError):

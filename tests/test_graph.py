@@ -21,7 +21,6 @@ from lizardpath import (
     find_shorter_arms,
     gen_complete,
     gen_grid,
-    gen_random_sparse,
     generate,
     load_dimacs,
     save_dimacs,
@@ -29,6 +28,7 @@ from lizardpath import (
 from lizardpath import graph as graph_module
 from lizardpath.cli import SUITES
 from lizardpath.graph import _RUN_LINES, MAX_NODES, MAX_WEIGHT, WeightTooLargeError
+from conftest import gen_random_sparse
 
 
 class TestBuildGraph:

@@ -9,9 +9,8 @@ from lizardpath import (
     LizardEntity,
     MissingNodeError,
     SplitMix64,
-    verify_structure,
 )
-from conftest import run_lizard_fuzz
+from conftest import agencies_in_order, bst_height, run_lizard_fuzz, verify_structure
 
 
 def ara_keys(le: LizardEntity) -> list[int]:
@@ -45,7 +44,7 @@ class TestBuild:
         keys = list({rng.below(10**9) for _ in range(1100)})[:1000]
         le = LizardEntity.build(list(enumerate(keys)))
         assert le.size == 1000
-        assert le.bst_height() <= 11
+        assert bst_height(le) <= 11
         assert ara_keys(le) == sorted(keys)
         assert verify_structure(le) is None
 
@@ -78,7 +77,7 @@ class TestInsert:
         le = LizardEntity.build([(0, 5)])
         le.insert(1, 5)
         assert le.size == 2
-        assert len(le.agencies_in_order()) == 1  # BST unchanged
+        assert len(agencies_in_order(le)) == 1  # BST unchanged
         assert verify_structure(le) is None
 
     def test_duplicate_node_rejected(self):
@@ -114,6 +113,19 @@ class TestDelete:
         assert promoted.is_agency
         assert le.counters.deletions == 1
         assert verify_structure(le) is None
+
+    def test_agency_hands_over_to_head_cousin(self):
+        le = LizardEntity.build([(0, 5), (1, 5), (2, 5), (3, 5), (4, 9)])
+        agency, head = le._index[0], le._index[1]
+        before = le.counters.delete
+        le.delete(0)  # the agency stays in place and now holds node 1
+        assert le.counters.delete - before == 4
+        assert le._index[1] is agency
+        assert all(item.node == v for v, item in le._index.items())
+        links = (head.left, head.right, head.up, head.prev, head.next, head.cl_prev, head.cl_next)
+        assert links == (None,) * 7
+        assert verify_structure(le) is None
+        assert le.get_min_batch() == [1, 2, 3]
 
     def test_root_with_two_children_preserves_order(self):
         le = LizardEntity.build([(i, k) for i, k in enumerate([10, 20, 30, 40, 50])])
@@ -206,38 +218,13 @@ class TestGetMinBatch:
         assert le.get_min_batch() == [5, 6, 7]
 
 
-class TestResortContains:
-    def test_resort_sole_item(self):
-        le = LizardEntity.build([(0, 5)])
-        le.resort(0, 3)
-        assert ara_keys(le) == [3]
-        assert verify_structure(le) is None
-
-    def test_resort_to_new_minimum(self):
-        le = LizardEntity.build([(0, 1), (1, 5), (2, 9)])
-        le.resort(2, 0)
-        assert le.ara_min.key == 0
-        assert le.ara_min.node == 2
-        assert verify_structure(le) is None
-
-    def test_resort_missing(self):
-        with pytest.raises(MissingNodeError):
-            LizardEntity().resort(1, 2)
-
+class TestMembership:
     def test_contains(self):
         le = LizardEntity.build([(0, 5), (1, 5)])
-        assert le.contains(0) and le.contains(1)
-        assert not le.contains(99)
-        assert 0 in le and 99 not in le
-
-    def test_contains_charge_is_search_path(self):
-        le = LizardEntity.build([(i, k) for i, k in enumerate([10, 20, 30])])
-        before = le.counters.contains
-        le.contains(le.bst_root.node)
-        assert le.counters.contains - before == 1
-        assert le.counters.contains == le.counters.total_cost - (
-            le.counters.build + le.counters.insert + le.counters.delete + le.counters.getmin
-        )
+        cost = le.counters.total_cost
+        assert 0 in le and 1 in le
+        assert 99 not in le
+        assert le.counters.total_cost == cost  # membership is not charged
 
 
 class TestVerifyStructure:
@@ -342,7 +329,7 @@ class CheckedLizardEntity(LizardEntity):
 
 def depth_within_log_three_halves(le: LizardEntity, size: int) -> bool:
     """Deepest node's depth <= log_{3/2}(size), in exact integers."""
-    depth = le.bst_height() - 1
+    depth = bst_height(le) - 1
     return 3**depth <= size * 2**depth
 
 
@@ -359,7 +346,7 @@ def test_bst_height_stays_sane_under_churn():
         le.insert(node, rng.below(10**6))
         peak = max(peak, le.size)
         node += 1
-    assert depth_within_log_three_halves(le, peak), f"height {le.bst_height()} vs peak size {peak}"
+    assert depth_within_log_three_halves(le, peak), f"height {bst_height(le)} vs peak size {peak}"
 
 
 @pytest.mark.parametrize("step", [1, -1])
@@ -367,7 +354,7 @@ def test_sorted_inserts_stay_logarithmic(step):
     le = CheckedLizardEntity()
     for i in range(600):
         le.insert(i, step * i)
-        assert depth_within_log_three_halves(le, le.size), f"insert {i}: height {le.bst_height()}"
+        assert depth_within_log_three_halves(le, le.size), f"insert {i}: height {bst_height(le)}"
     assert verify_structure(le) is None
     assert le.rebuilds > 0
     # a list-shaped tree would charge 600 * 601 / 2 = 180 300
@@ -408,6 +395,6 @@ def test_total_cost_is_sum_of_buckets():
     le.insert(100, 2)
     le.delete(100)
     le.get_min_batch()
-    le.contains(7)
     c = le.counters
-    assert c.total_cost == c.build + c.insert + c.delete + c.getmin + c.contains
+    assert c.total_cost == c.build + c.insert + c.delete + c.getmin
+    assert c.contains == 0

@@ -6,9 +6,8 @@ from lizardpath import (
     brute_force,
     build_graph,
     dijkstra,
-    gen_random_sparse,
 )
-from conftest import make_chain
+from conftest import gen_random_sparse, make_chain
 
 
 class TestDijkstra:
