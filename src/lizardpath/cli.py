@@ -191,18 +191,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def spec_from_args(args: argparse.Namespace) -> GenSpec:
-    kwargs = dict(
-        family=args.family,
-        weight_range=(args.wmin, args.wmax),
-        seed=args.seed,
+    return GenSpec(
+        family=args.family, n=args.n, rows=args.rows, cols=args.cols, m=args.m,
+        weight_range=(args.wmin, args.wmax), seed=args.seed,
     )
-    if args.family == "grid":
-        kwargs.update(rows=args.rows, cols=args.cols)
-    else:
-        kwargs.update(n=args.n)
-        if args.family == "random" and args.m:
-            kwargs.update(m=args.m)
-    return GenSpec(**kwargs)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -57,10 +57,12 @@ class SplitMix64:
 class GenSpec:
     """Parameters for one generated instance.
 
-    ``n`` is ignored for the grid family (rows * cols is used); ``m`` is
-    the per-node out-degree of the random family, and 0 means the
-    default, ceil(log2 n).  Weights lie in 1..graph.MAX_WEIGHT, so every
-    generated graph saves to a file that loads back.
+    ``n`` sizes the complete and random families and ``rows``/``cols``
+    the grid; ``m`` is the per-node out-degree of the random family, and
+    0 means the default, ceil(log2 n).  A nonzero size or degree that
+    the family does not use is rejected, not ignored.  Weights lie in
+    1..graph.MAX_WEIGHT, so every generated graph saves to a file that
+    loads back.
     """
 
     family: str  # complete | random | grid
@@ -81,6 +83,12 @@ class GenSpec:
             )
         if self.m < 0:
             raise GraphError(f"out-degree {self.m} must not be negative")
+        if self.family == "grid" and self.n:
+            raise GraphError("grid is sized by rows and cols, not n")
+        if self.family != "random" and self.m:
+            raise GraphError(f"{self.family} takes no out-degree m")
+        if self.family != "grid" and (self.rows or self.cols):
+            raise GraphError(f"{self.family} is sized by n, not rows or cols")
         if self.family == "grid":
             if self.rows < 1 or self.cols < 1:
                 raise GraphError("grid needs rows >= 1 and cols >= 1")

@@ -1,12 +1,17 @@
 """Priority structure backing the correction phase: the lizard entity.
 
-Three linked systems share one set of items:
+Each distinct key has one item, its agency, holding the first node
+stored under that key.  Two linked systems thread the agencies:
 
-* a binary search tree over the distinct keys (one representative per
-  key, called the agency),
+* a binary search tree over the distinct keys,
 * an ascending doubly-linked list (the ARA) threading the same agencies,
-  giving O(1) access to the minimum and to in-order neighbors,
-* a circular cousin list per agency holding the other items of equal key.
+  giving O(1) access to the minimum and to in-order neighbors.
+
+The other nodes of equal key, the cousins, are ids in the agency's
+insertion-ordered ``cousins`` dict, so a cousin leaves in O(1), the
+oldest one takes over in O(1) when the agency's own node leaves, and a
+batch of equal keys comes out in the order the nodes went in.  An index
+maps every stored node, cousins included, to its key's agency.
 
 The ARA makes deletion constant-bounded: when a BST node with two
 children goes away, its replacement is one ARA step to the right, never a
@@ -27,6 +32,7 @@ nodes it touches), accumulated in :class:`CostCounters`.  Membership via
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 
@@ -77,46 +83,43 @@ class CostCounters:
 
 
 class LizardItem:
-    """One stored (node, key) pair with its three link systems.
+    """The agency of one distinct key: its first node, the cousins, and
+    the BST and ARA links.
 
-    Only the agency of a key participates in BST and ARA links; cousins
-    carry only the circular cousin-list links.
+    ``cousins`` is None until a second node takes the key; from then on
+    it maps the other nodes of the key to None in insertion order.  An
+    OrderedDict, not a dict, because the hand-over pops its oldest node:
+    a plain dict keeps the popped slots at its front until it is resized,
+    so n hand-overs in a row would rescan them in O(n^2).
     """
 
-    __slots__ = (
-        "node", "key", "left", "right", "up",
-        "prev", "next", "cl_prev", "cl_next", "is_agency",
-    )
+    __slots__ = ("node", "key", "cousins", "left", "right", "up", "prev", "next")
 
     def __init__(self, node: int, key: int):
         self.node = node
         self.key = key
+        self.cousins: OrderedDict[int, None] | None = None
         self.left: LizardItem | None = None
         self.right: LizardItem | None = None
         self.up: LizardItem | None = None  # BST parent
         self.prev: LizardItem | None = None  # ARA
         self.next: LizardItem | None = None
-        self.cl_prev: LizardItem | None = None  # cousin circle
-        self.cl_next: LizardItem | None = None
-        self.is_agency = False
 
     def __repr__(self):
-        tag = "agency" if self.is_agency else "cousin"
-        return f"LizardItem(node={self.node}, key={self.key}, {tag})"
+        return f"LizardItem(node={self.node}, key={self.key}, cousins={list(self.cousins or ())})"
 
 
 class LizardEntity:
     """The assembled priority structure with instrumented costs."""
 
-    __slots__ = ("bst_root", "ara_min", "ara_max", "size", "counters", "_index")
+    __slots__ = ("bst_root", "ara_min", "size", "counters", "_index")
 
     def __init__(self):
         self.bst_root: LizardItem | None = None
         self.ara_min: LizardItem | None = None
-        self.ara_max: LizardItem | None = None
         self.size = 0
         self.counters = CostCounters()
-        self._index: dict[int, LizardItem] = {}
+        self._index: dict[int, LizardItem] = {}  # every stored node -> its key's agency
 
     def __len__(self) -> int:
         return self.size
@@ -132,7 +135,8 @@ class LizardEntity:
         """Sort, group equal keys, thread the ARA, and pyramid the BST.
 
         Stable sorting keeps the first occurrence of each key as the
-        agency.  Charge: |items| * ceil(log2 |items|) + |items|.
+        agency and the rest as its cousins in input order.  Charge:
+        |items| * ceil(log2 |items|) + |items|.
         """
         le = cls()
         k = len(items)
@@ -141,23 +145,24 @@ class LizardEntity:
         index = le._index
         ordered = sorted(items, key=lambda t: t[1])
         agencies: list[LizardItem] = []
+        item = None
         for node, key in ordered:
             if node in index:
                 raise DuplicateNodeError(node)
-            item = LizardItem(node, key)
-            index[node] = item
-            if agencies and agencies[-1].key == key:
-                _cl_append(agencies[-1], item)
+            if item is not None and item.key == key:
+                if item.cousins is None:
+                    item.cousins = OrderedDict()
+                item.cousins[node] = None
             else:
-                item.is_agency = True
+                item = LizardItem(node, key)
                 agencies.append(item)
+            index[node] = item
         prev = agencies[0]
         for item in agencies[1:]:
             prev.next = item
             item.prev = prev
             prev = item
         le.ara_min = agencies[0]
-        le.ara_max = agencies[-1]
         le.bst_root = _pyramid(agencies, 0, len(agencies), None)
         le.size = k
         le.counters.build += k * (k - 1).bit_length() + k
@@ -166,24 +171,24 @@ class LizardEntity:
     # -- mutation ----------------------------------------------------
 
     def insert(self, node: int, key: int) -> None:
-        """Place a new item; equal keys join the existing agency's circle.
+        """Store a node; an equal key adds it to that agency's cousins.
 
-        A fresh agency is attached as a leaf; if that leaf is too deep,
-        its scapegoat subtree is rebuilt (see :meth:`_rebuild_scapegoat`).
-        Charge: BST search-path length, plus one when a fresh agency is
-        attached, plus any rebuild's charge.
+        A fresh key's agency is attached as a leaf; if that leaf is too
+        deep, its scapegoat subtree is rebuilt (see
+        :meth:`_rebuild_scapegoat`).  Charge: BST search-path length,
+        plus one when a fresh agency is attached, plus any rebuild's
+        charge.
         """
-        if node in self._index:
+        index = self._index
+        if node in index:
             raise DuplicateNodeError(node)
-        item = LizardItem(node, key)
-        self._index[node] = item
         self.size += 1
         cur = self.bst_root
         if cur is None:
-            item.is_agency = True
+            item = LizardItem(node, key)
+            index[node] = item
             self.bst_root = item
             self.ara_min = item
-            self.ara_max = item
             self.counters.insert += 1
             return
         visited = 0
@@ -191,23 +196,28 @@ class LizardEntity:
             visited += 1
             ck = cur.key
             if key == ck:
-                _cl_append(cur, item)
+                if cur.cousins is None:
+                    cur.cousins = OrderedDict()
+                cur.cousins[node] = None
+                index[node] = cur
                 self.counters.insert += visited
                 return
             if key < ck:
                 if cur.left is None:
+                    item = LizardItem(node, key)
                     cur.left = item
                     self._ara_link_before(cur, item)
                     break
                 cur = cur.left
             else:
                 if cur.right is None:
+                    item = LizardItem(node, key)
                     cur.right = item
                     self._ara_link_after(cur, item)
                     break
                 cur = cur.right
+        index[node] = item
         item.up = cur
-        item.is_agency = True
         charge = visited + 1
         # the new leaf's depth is `visited`; rebuild when it exceeds log_{3/2}(size)
         if self.size < _DEEPER_THAN_LOG[visited]:
@@ -215,23 +225,21 @@ class LizardEntity:
         self.counters.insert += charge
 
     def delete(self, node: int) -> None:
-        """Remove one item: cousin unlink, hand-over, or BST excision.
+        """Remove one node: a cousin, a hand-over, or a BST excision.
 
-        An agency with cousins stays in place: its head cousin's node
-        moves into it and the head cousin is unlinked.  Charge 2 for a
-        cousin, 4 for any agency; one deletion counted.
+        An agency with cousins stays in place and its head cousin, the
+        oldest, takes over its node.  Charge 2 for a cousin, 4 for an
+        agency's own node; one deletion counted.
         """
         item = self._index.pop(node, None)
         if item is None:
             raise MissingNodeError(node)
-        if not item.is_agency:
-            _cl_remove_cousin(item)
+        cousins = item.cousins
+        if node != item.node:
+            del cousins[node]
             self.counters.delete += 2
-        elif item.cl_next is not None:
-            head = item.cl_next
-            _cl_remove_cousin(head)
-            item.node = head.node
-            self._index[head.node] = item
+        elif cousins:
+            item.node = cousins.popitem(last=False)[0]
             self.counters.delete += 4
         else:
             self._excise_agency(item)
@@ -251,14 +259,7 @@ class LizardEntity:
         agency = self.ara_min
         if agency is None:
             raise EmptyStructureError()
-        nodes = [agency.node]
-        cousin = agency.cl_next
-        while cousin is not None and cousin is not agency:
-            nodes.append(cousin.node)
-            # unlinked, the reaped cousins are freed by reference counting
-            nxt = cousin.cl_next
-            cousin.cl_next = cousin.cl_prev = None
-            cousin = nxt
+        nodes = [agency.node, *(agency.cousins or ())]
         kbatch = len(nodes)
         up = agency.up
         right = agency.right
@@ -270,9 +271,7 @@ class LizardEntity:
             right.up = up
         after = agency.next
         self.ara_min = after
-        if after is None:
-            self.ara_max = None
-        else:
+        if after is not None:
             after.prev = None
         _scrub(agency)
         index = self._index
@@ -353,9 +352,7 @@ class LizardEntity:
     def _ara_link_after(self, anchor: LizardItem, item: LizardItem) -> None:
         item.prev = anchor
         item.next = anchor.next
-        if anchor.next is None:
-            self.ara_max = item
-        else:
+        if anchor.next is not None:
             anchor.next.prev = item
         anchor.next = item
 
@@ -364,9 +361,7 @@ class LizardEntity:
             self.ara_min = item.next
         else:
             item.prev.next = item.next
-        if item.next is None:
-            self.ara_max = item.prev
-        else:
+        if item.next is not None:
             item.next.prev = item.prev
         item.prev = None
         item.next = None
@@ -422,39 +417,9 @@ def _pyramid(agencies: list[LizardItem], lo: int, hi: int, up: LizardItem | None
     return item
 
 
-def _cl_append(agency: LizardItem, item: LizardItem) -> None:
-    """FIFO append into the agency's circular cousin list."""
-    if agency.cl_next is None:
-        agency.cl_next = item
-        agency.cl_prev = item
-        item.cl_prev = agency
-        item.cl_next = agency
-    else:
-        tail = agency.cl_prev
-        tail.cl_next = item
-        item.cl_prev = tail
-        item.cl_next = agency
-        agency.cl_prev = item
-
-
-def _cl_remove_cousin(item: LizardItem) -> None:
-    before = item.cl_prev
-    after = item.cl_next
-    if before is after:  # lone cousin: the circle collapses
-        before.cl_next = None
-        before.cl_prev = None
-    else:
-        before.cl_next = after
-        after.cl_prev = before
-    item.cl_prev = None
-    item.cl_next = None
-
-
 def _scrub(item: LizardItem) -> None:
     item.left = None
     item.right = None
     item.up = None
     item.prev = None
     item.next = None
-    item.cl_next = None
-    item.cl_prev = None

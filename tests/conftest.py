@@ -118,10 +118,11 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
     """Random op sequence against a plain dict reference model.
 
     Asserts identical observable behavior (membership, size, minimum-key
-    batches), a sound structure after every operation, a per-delete
-    charge of at most 8, and a reap charge of 2 per item with one
-    deletion per item and one batch.  A re-key is a delete then an
-    insert.  Returns summary stats.
+    batches in insertion order), a sound structure after every
+    operation, a per-delete charge of at most 8, and a reap charge of 2
+    per item with one deletion per item and one batch.  A re-key is a
+    delete then an insert, which moves the node to the end of the
+    model's order.  Returns summary stats.
     """
     rng = SplitMix64(seed)
     le = LizardEntity()
@@ -130,8 +131,8 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
     stats = {"inserts": 0, "deletes": 0, "batches": 0, "probes": 0, "max_size": 0}
 
     for step in range(op_count):
-        # alternate dense and sparse key phases: dense spans grow long
-        # cousin lists, sparse spans grow a deep tree
+        # alternate dense and sparse key phases: dense spans give each
+        # key many cousins, sparse spans grow a deep tree
         key_span = 12 if (step // 2000) % 2 == 0 else 1_000_000
         r = rng.below(100)
         if not model or r < 52:
@@ -155,8 +156,7 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
             reaped = len(batch)
             assert (c.getmin - getmin, c.deletions - deletions, c.batches - batches) == (2 * reaped, reaped, 1)
             mink = min(model.values())
-            expect = {n for n, k in model.items() if k == mink}
-            assert set(batch) == expect
+            assert batch == [n for n, k in model.items() if k == mink]
             assert all(k >= mink for k in model.values())
             for n in batch:
                 del model[n]
@@ -167,6 +167,7 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
             new_key = rng.below(key_span)
             le.delete(node)
             le.insert(node, new_key)
+            del model[node]
             model[node] = new_key
         else:
             probe = rng.below(next_node + 3)
@@ -182,26 +183,25 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
 
 
 def verify_structure(le: LizardEntity) -> str | None:
-    """Walk all three systems and report the first invariant violation.
+    """Walk the BST, the ARA and the cousin dicts and report the first
+    invariant violation.
 
     Returns None when the structure is sound.  Cost is linear in the
     item count and nothing is charged.
     """
     if le.size == 0:
-        if le.bst_root is not None or le.ara_min is not None or le.ara_max is not None:
+        if le.bst_root is not None or le.ara_min is not None:
             return "empty structure retains dangling entry pointers"
         if le._index:
             return "empty structure retains index entries"
         return None
-    if le.bst_root is None or le.ara_min is None or le.ara_max is None:
+    if le.bst_root is None or le.ara_min is None:
         return "nonempty structure lost an entry pointer"
     if le.bst_root.up is not None:
         return "root has a parent link"
 
     in_order = agencies_in_order(le)
     for item in in_order:
-        if not item.is_agency:
-            return f"BST holds non-agency item {item!r}"
         if item.left is not None and item.left.up is not item:
             return f"left child of {item!r} has a bad parent link"
         if item.right is not None and item.right.up is not item:
@@ -222,50 +222,21 @@ def verify_structure(le: LizardEntity) -> str | None:
         if item.next is not None and item.next.prev is not item:
             return f"ARA backlink broken after {item!r}"
         item = item.next
-    if chain[-1] is not le.ara_max:
-        return "ARA chain does not end at ara_max"
     if len(chain) != len(in_order) or any(x is not y for x, y in zip(chain, in_order)):
         return "ARA sequence differs from BST in-order sequence"
 
-    walked = set(in_order)
-    total = 0
+    # every stored node, agency or cousin, is indexed to its key's agency
+    stored: dict[int, LizardItem] = {}
     for agency in in_order:
-        total += 1
-        cousin = agency.cl_next
-        if cousin is None:
-            if agency.cl_prev is not None:
-                return f"{agency!r} has a tail link but no cousins"
-            continue
-        seen = 0
-        cur = cousin
-        while cur is not agency:
-            if cur is None:
-                return f"cousin circle of {agency!r} is broken"
-            if cur.is_agency:
-                return f"cousin circle of {agency!r} contains an agency"
-            if cur.key != agency.key:
-                return f"cousin {cur!r} key differs from agency key {agency.key}"
-            if cur.left or cur.right or cur.up or cur.prev or cur.next:
-                return f"cousin {cur!r} carries tree or list links"
-            nxt = cur.cl_next
-            if nxt is None or nxt.cl_prev is not cur:
-                return f"cousin circle backlink broken at {cur!r}"
-            walked.add(cur)
-            seen += 1
-            if seen > le.size:
-                return f"cousin circle of {agency!r} does not close"
-            cur = nxt
-        if agency.cl_prev is None or agency.cl_prev.cl_next is not agency:
-            return f"tail link of {agency!r} is inconsistent"
-        total += seen
-
-    if total != le.size:
-        return f"item walk found {total} items, size says {le.size}"
+        for node in (agency.node, *(agency.cousins or ())):
+            if node in stored:
+                return f"node {node} is stored twice ({agency!r}, {stored[node]!r})"
+            stored[node] = agency
+    if len(stored) != le.size:
+        return f"item walk found {len(stored)} nodes, size says {le.size}"
     if len(le._index) != le.size:
         return f"index holds {len(le._index)} entries, size says {le.size}"
     for node, item in le._index.items():
-        if item.node != node:
-            return f"index entry {node} points at item of node {item.node}"
-        if item not in walked:
-            return f"index entry {node} points at an item outside the structure"
+        if stored.get(node) is not item:
+            return f"index entry {node} points at {item!r}, not the agency holding it"
     return None

@@ -103,6 +103,9 @@ class TestGen:
         (["--family", "random", "--n", "100", "--m", "-3"], "out-degree -3 must not be negative"),
         (["--family", "grid", "--rows", "2", "--cols", "2", "--wmin", "4294967296", "--wmax", "4294967300"],
          "weight range (4294967296, 4294967300) must satisfy 1 <= min <= max <= 4294967295"),
+        (["--family", "grid", "--rows", "2", "--cols", "2", "--m", "5", "--n", "77"],
+         "grid is sized by rows and cols, not n"),
+        (["--family", "complete", "--n", "5", "--m", "3", "--rows", "9"], "complete takes no out-degree m"),
     ])
     def test_bad_spec_fails_cleanly(self, tmp_path, capsys, args, message):
         out = tmp_path / "bad.gr"

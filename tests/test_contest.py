@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 
 import pytest
@@ -105,8 +107,8 @@ class TestSolve:
         assert cut.total_cost < m.le_cost
 
     def test_tied_solve_leaves_no_cyclic_garbage(self):
-        # reaped cousins must not stay linked to each other, or every
-        # batch of three or more items waits for the cyclic collector
+        # no item the structure lets go of may sit in a reference cycle,
+        # or every reaped or excised key waits for the cyclic collector
         g = gen_grid(GenSpec(family="grid", rows=20, cols=20, seed=7, weight_range=(1, 2)))
         gc.collect()
         gc.disable()
@@ -228,3 +230,15 @@ def test_desk_counters_match_golden(name):
         cut_D=cut.deletions, cut_C_total=cut.total_cost,
     )
     assert got == COUNTER_GOLDEN[name]
+
+
+def test_tied_parents_match_golden():
+    # weights 1..3 tie many keys, so the parent a node keeps depends on
+    # the order equal-key nodes leave the structure: batches and hand-overs
+    # go oldest first.  Distances and counters do not see that order.
+    g = generate(GenSpec(family="grid", rows=100, cols=100, weight_range=(1, 3), seed=1))
+    labels, m = solve_sssp(g, SolveOptions(source=0))
+    assert labels.dist == dijkstra(g, 0)[0]
+    assert (m.deletions, m.le_counters.batches) == (3122, 211)
+    digest = hashlib.sha256(json.dumps(labels.parent).encode()).hexdigest()
+    assert digest == "70e9d7a6323dd62b1df9b3bedfff3bc14dbc80d7cf7753c48510dbaad6ab80fe"

@@ -64,6 +64,17 @@ class TestGenSpec:
                 GenSpec(family=family, n=100, m=-3)
         assert GenSpec(family="random", n=100, m=0).effective_m() == 7  # 0 is the default
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(family="grid", rows=2, cols=2, n=77), "grid is sized by rows and cols, not n"),
+        (dict(family="grid", rows=2, cols=2, m=5), "grid takes no out-degree m"),
+        (dict(family="complete", n=5, m=3), "complete takes no out-degree m"),
+        (dict(family="complete", n=5, rows=9), "complete is sized by n, not rows or cols"),
+        (dict(family="random", n=5, cols=9), "random is sized by n, not rows or cols"),
+    ])
+    def test_option_of_another_family_rejected(self, kwargs, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            GenSpec(**kwargs)
+
     def test_unknown_family(self):
         with pytest.raises(GraphError):
             GenSpec(family="torus", n=3)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,9 +35,10 @@ class TestBuild:
         assert le.size == 3
         assert ara_keys(le) == [2, 5]
         agency5 = le._index[10]
-        assert agency5.is_agency
-        assert not le._index[12].is_agency
-        assert agency5.cl_next is le._index[12]
+        assert agency5.node == 10
+        assert le._index[12] is agency5  # one item per key, none for the cousin
+        assert list(agency5.cousins) == [12]
+        assert le._index[11].cousins is None
         assert verify_structure(le) is None
 
     def test_thousand_distinct_keys_build_balanced(self):
@@ -62,7 +64,7 @@ class TestInsert:
     def test_into_empty_becomes_root(self):
         le = LizardEntity()
         le.insert(7, 40)
-        assert le.bst_root is le.ara_min is le.ara_max
+        assert le.bst_root is le.ara_min
         assert le.bst_root.node == 7
         assert le.counters.insert == 1
         assert verify_structure(le) is None
@@ -78,6 +80,8 @@ class TestInsert:
         le.insert(1, 5)
         assert le.size == 2
         assert len(agencies_in_order(le)) == 1  # BST unchanged
+        assert le._index[1] is le._index[0]
+        assert list(le._index[0].cousins) == [1]
         assert verify_structure(le) is None
 
     def test_duplicate_node_rejected(self):
@@ -107,25 +111,43 @@ class TestDelete:
     def test_agency_promotion_keeps_shape(self):
         le = LizardEntity.build([(0, 5), (1, 2), (2, 5), (3, 8)])
         shape_before = ara_keys(le)
+        agency = le._index[0]
         le.delete(0)  # agency of key 5; cousin 2 must take over in place
         assert ara_keys(le) == shape_before
-        promoted = le._index[2]
-        assert promoted.is_agency
+        assert le._index[2] is agency
+        assert agency.node == 2 and not agency.cousins
         assert le.counters.deletions == 1
         assert verify_structure(le) is None
 
     def test_agency_hands_over_to_head_cousin(self):
         le = LizardEntity.build([(0, 5), (1, 5), (2, 5), (3, 5), (4, 9)])
-        agency, head = le._index[0], le._index[1]
+        agency = le._index[0]
         before = le.counters.delete
         le.delete(0)  # the agency stays in place and now holds node 1
         assert le.counters.delete - before == 4
         assert le._index[1] is agency
-        assert all(item.node == v for v, item in le._index.items())
-        links = (head.left, head.right, head.up, head.prev, head.next, head.cl_prev, head.cl_next)
-        assert links == (None,) * 7
+        assert agency.node == 1 and list(agency.cousins) == [2, 3]
+        assert all(v == item.node or v in item.cousins for v, item in le._index.items())
         assert verify_structure(le) is None
         assert le.get_min_batch() == [1, 2, 3]
+
+    def test_hand_overs_in_a_row_stay_linear(self):
+        # each FIFO delete removes the agency's own node, so its oldest
+        # cousin takes over; popping that cousin from the front of a
+        # plain dict would rescan every slot popped before it, O(k^2)
+        k = 40000
+
+        def seconds(order):
+            le = LizardEntity.build([(i, 7) for i in range(k)])
+            start = time.perf_counter()
+            for node in order:
+                le.delete(node)
+            assert le.size == 0
+            return time.perf_counter() - start
+
+        hand_overs = seconds(range(k))
+        cousin_deletes = seconds(range(k - 1, -1, -1))  # newest first
+        assert hand_overs < 10 * cousin_deletes
 
     def test_root_with_two_children_preserves_order(self):
         le = LizardEntity.build([(i, k) for i, k in enumerate([10, 20, 30, 40, 50])])
@@ -139,7 +161,8 @@ class TestDelete:
         le = LizardEntity.build([(0, 5), (1, 5), (2, 5)])
         le.delete(1)  # middle cousin
         assert le.size == 2
-        assert [i.node for i in [le._index[0], le._index[0].cl_next]] == [0, 2]
+        agency = le._index[0]
+        assert [agency.node, *agency.cousins] == [0, 2]
         assert verify_structure(le) is None
 
     def test_missing_node(self):
@@ -202,10 +225,10 @@ class TestGetMinBatch:
 
     def test_reaped_items_keep_no_links(self):
         le = LizardEntity.build([(0, 5), (1, 5), (2, 5), (3, 9)])
-        reaped = [le._index[v] for v in (0, 1, 2)]
+        reaped = le._index[0]
         le.get_min_batch()
-        for item in reaped:
-            assert (item.cl_next, item.cl_prev, item.up, item.next) == (None, None, None, None)
+        assert (reaped.left, reaped.right, reaped.up, reaped.prev, reaped.next) == (None,) * 5
+        assert not any(v in le for v in (0, 1, 2))
 
     def test_empty_structure_raises(self):
         with pytest.raises(EmptyStructureError):
@@ -230,13 +253,23 @@ class TestMembership:
 class TestVerifyStructure:
     def test_detects_broken_ara_link(self):
         le = LizardEntity.build([(0, 1), (1, 2), (2, 3)])
-        le.ara_min.next = le.ara_max  # skip the middle agency
+        le.ara_min.next = le.ara_min.next.next  # skip the middle agency
         assert verify_structure(le) is not None
 
     def test_detects_bad_parent_pointer(self):
         le = LizardEntity.build([(0, 1), (1, 2), (2, 3)])
         node = le.bst_root.left
         node.up = node
+        assert verify_structure(le) is not None
+
+    def test_detects_index_drift(self):
+        le = LizardEntity.build([(0, 1), (1, 1), (2, 3)])
+        le._index[1] = le._index[2]  # cousin 1 indexed to the wrong key
+        assert verify_structure(le) is not None
+
+    def test_detects_node_stored_twice(self):
+        le = LizardEntity.build([(0, 1), (1, 1), (2, 3)])
+        le._index[2].cousins = {1: None}
         assert verify_structure(le) is not None
 
     def test_detects_size_drift(self):
