@@ -200,6 +200,10 @@ class TestDimacs:
         (dict(family="complete", n=60), "06e8b7d4553813d4ee5c51797642a646128f25cadf088c986df20bfcfe4f177a"),
         (dict(family="random", n=2000), "f35da7e63fba6ee0d969d734ceaab8b76ac605f8ea450c560cef9e3638aff65e"),
         (dict(family="grid", rows=40, cols=40), "b93746a98a397884363247c3429764be6cc49270cb27a2bcae5336b45aa3141b"),
+        # the desk suite's three rows
+        (dict(family="complete", n=500), "49bd4f3d0e5b3ab2f67100f03bd7bfb9fadd5f6c9359ae37331167349fa38d1b"),
+        (dict(family="random", n=50000, m=16), "67a68e02b3a87886df0e6337edb59e62dcfe0e8644e8acfc56802c36ed2a5b32"),
+        (dict(family="grid", rows=300, cols=300), "6624456155e59d5df2cbe2801a7998c980dbc5f5afc6c21dab5f5a84aff57554"),
     ])
     def test_saved_text_is_pinned(self, kwargs, digest):
         # SHA-256 of the file each family writes for seed 1; a change to
