@@ -1,19 +1,40 @@
 """Deterministic instance generators for the three benchmark families.
 
-All randomness flows through a splitmix64 stream seeded from the GenSpec,
-so identical specs produce bit-identical graphs on every platform and
+All randomness flows through one splitmix64 stream per seed, so
+identical specs produce bit-identical graphs on every platform and
 Python version.
+
+The stream is computed in blocks of ``_BLOCK`` outputs.  A block's
+states are packed as 128-bit lanes of one Python int, and the splitmix64
+mix runs once on that int: each lane is masked back to 64 bits after
+every shift and every multiply, and a 64x64-bit product fits inside its
+lane, so no lane carries into the next.  The block is unpacked through
+an ``array("Q")`` of its little-endian bytes, byteswapped on big-endian
+hosts, so every host reads the same values.  Each output is exactly the
+scalar splitmix64 output at its position.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, count
 
 from . import graph
 from .graph import Graph, GraphError
 
-_MASK64 = (1 << 64) - 1
+_RANGE = 1 << 64
+_MASK64 = _RANGE - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# outputs per block: the cost per output is flat from about 1024 to 4096
+# and rises on either side, and a short stream pays for a whole block
+_BLOCK = 1024
+_LANE_BYTES = 16
+_BIG_ENDIAN = sys.byteorder == "big"
 
 # Most arcs a spec may ask for: twice the ~4M of each paper_full instance.
 # Nodes are capped by graph.MAX_NODES, so every generated file loads back.
@@ -25,32 +46,73 @@ class DegreeTooLargeError(GraphError):
         super().__init__(f"out-degree {m} must be smaller than node count {n}")
 
 
-class SplitMix64:
-    """splitmix64 PRNG (Steele, Lea & Flood's published constants)."""
+def _pack(lanes: list[int]) -> int:
+    """One int holding each value (< 2**64) in a 128-bit lane, lane 0
+    lowest."""
+    words = array("Q", [0]) * (2 * len(lanes))
+    words[::2] = array("Q", lanes)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
 
-    __slots__ = ("state",)
+
+_ONES = _pack([1] * _BLOCK)
+_LANES = _MASK64 * _ONES
+# lane i steps i+1 gammas past the block's base state
+_STEPS = _pack([(i + 1) * _GAMMA & _MASK64 for i in range(_BLOCK)])
+
+
+def _block(base: int) -> array:
+    """The _BLOCK splitmix64 outputs that follow state ``base``."""
+    z = ((base & _MASK64) * _ONES + _STEPS) & _LANES
+    z = ((z ^ ((z >> 30) & _LANES)) * 0xBF58476D1CE4E5B9) & _LANES
+    z = ((z ^ ((z >> 27) & _LANES)) * 0x94D049BB133111EB) & _LANES
+    z ^= (z >> 31) & _LANES
+    words = array("Q", z.to_bytes(_BLOCK * _LANE_BYTES, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words[::2]
+
+
+def _span_limit(lo: int, hi: int) -> tuple[int, int]:
+    """The size of [lo, hi] and the largest raw output that maps into it
+    without bias."""
+    span = hi - lo + 1
+    if not 0 < span <= _RANGE:
+        raise ValueError(f"range [{lo}, {hi}] must hold between 1 and 2**64 integers")
+    return span, _MASK64 - _RANGE % span
+
+
+class SplitMix64:
+    """splitmix64 PRNG (Steele, Lea & Flood's published constants).
+
+    ``next_u64``, ``randint``, ``below`` and the iterators of ``ints``
+    all read one stream, and none reads a value ahead of its own draw,
+    so any interleaving of them consumes the stream in the scalar order.
+    """
+
+    __slots__ = ("_raw",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self._raw = chain.from_iterable(map(_block, count(seed & _MASK64, _BLOCK * _GAMMA)))
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return next(self._raw)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], unbiased via rejection."""
-        span = hi - lo + 1
-        limit = _MASK64 - (_MASK64 + 1) % span
-        while True:
-            x = self.next_u64()
+        span, limit = _span_limit(lo, hi)
+        for x in self._raw:
             if x <= limit:
                 return lo + x % span
 
     def below(self, n: int) -> int:
         return self.randint(0, n - 1)
+
+    def ints(self, lo: int, hi: int) -> Iterator[int]:
+        """An endless iterator of ``randint(lo, hi)`` draws."""
+        span, limit = _span_limit(lo, hi)
+        return map(lo.__add__, map(span.__rmod__, filter(limit.__ge__, self._raw)))
 
 
 @dataclass(frozen=True)
@@ -131,13 +193,12 @@ def gen_complete(spec: GenSpec) -> Graph:
     Weights are drawn in (root, leaf) order from the seed stream.
     """
     n = spec.n
-    w_min, w_max = spec.weight_range
-    rng = SplitMix64(spec.seed)
-    randint = rng.randint
+    weights = SplitMix64(spec.seed).ints(*spec.weight_range)
 
     def leaf_lists():
         for v in range(n):
-            yield [(leaf, randint(w_min, w_max)) for leaf in range(n) if leaf != v]
+            # zip reads the leaves first, so it draws no weight past them
+            yield list(zip(chain(range(v), range(v + 1, n)), weights))
 
     return Graph._from_leaf_lists(n, leaf_lists())
 
@@ -152,20 +213,20 @@ def gen_random(spec: GenSpec) -> Graph:
     m = spec.effective_m()
     if m >= n:
         raise DegreeTooLargeError(m, n)
-    w_min, w_max = spec.weight_range
     rng = SplitMix64(spec.seed)
-    randint = rng.randint
+    node = rng.ints(0, n - 1).__next__
+    weight = rng.ints(*spec.weight_range).__next__
 
     def leaf_lists():
         for v in range(n):
             seen = {v}
             leaves = []
             for _ in range(m):
-                leaf = randint(0, n - 1)
+                leaf = node()
                 while leaf in seen:
-                    leaf = randint(0, n - 1)
+                    leaf = node()
                 seen.add(leaf)
-                leaves.append((leaf, randint(w_min, w_max)))
+                leaves.append((leaf, weight()))
             yield leaves
 
     return Graph._from_leaf_lists(n, leaf_lists())
@@ -178,9 +239,7 @@ def gen_grid(spec: GenSpec) -> Graph:
     E = 2 * (rows*(cols-1) + cols*(rows-1)).
     """
     rows, cols = spec.rows, spec.cols
-    w_min, w_max = spec.weight_range
-    rng = SplitMix64(spec.seed)
-    randint = rng.randint
+    weight = SplitMix64(spec.seed).ints(*spec.weight_range).__next__
 
     def leaf_lists():
         for r in range(rows):
@@ -189,13 +248,13 @@ def gen_grid(spec: GenSpec) -> Graph:
                 v = base + c
                 leaves = []
                 if r > 0:
-                    leaves.append((v - cols, randint(w_min, w_max)))
+                    leaves.append((v - cols, weight()))
                 if r < rows - 1:
-                    leaves.append((v + cols, randint(w_min, w_max)))
+                    leaves.append((v + cols, weight()))
                 if c > 0:
-                    leaves.append((v - 1, randint(w_min, w_max)))
+                    leaves.append((v - 1, weight()))
                 if c < cols - 1:
-                    leaves.append((v + 1, randint(w_min, w_max)))
+                    leaves.append((v + 1, weight()))
                 yield leaves
 
     return Graph._from_leaf_lists(rows * cols, leaf_lists())

@@ -21,6 +21,18 @@ def triangle() -> Graph:
     return build_graph(3, [(0, 1, 10), (0, 2, 1), (2, 1, 1)])
 
 
+def splitmix64_reference(seed: int):
+    """The scalar splitmix64 stream, one output per step: the reference
+    SplitMix64's block stream must reproduce."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
 def gen_layered_dag(n: int, seed: int, w_max: int = 1000) -> Graph:
     """Random DAG whose arcs all step exactly one breadth layer forward.
 

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lizardpath import (
     DegreeTooLargeError,
@@ -15,7 +16,7 @@ from lizardpath import (
 from lizardpath import generators as generators_module
 from lizardpath import graph as graph_module
 from lizardpath.cli import SUITES
-from conftest import gen_random_sparse
+from conftest import gen_random_sparse, splitmix64_reference
 
 
 class TestSplitMix64:
@@ -41,6 +42,68 @@ class TestSplitMix64:
         assert xs == [b.randint(3, 17) for _ in range(500)]
         assert min(xs) >= 3 and max(xs) <= 17
         assert len(set(xs)) == 15  # all values hit at this sample size
+
+    @pytest.mark.parametrize("call", [
+        lambda rng: rng.randint(10, 5),
+        lambda rng: rng.randint(0, 2**64),
+        lambda rng: rng.below(0),
+        lambda rng: rng.ints(10, 5),
+        lambda rng: rng.ints(-1, 2**64 - 1),
+    ], ids=["randint-reversed", "randint-too-wide", "below-zero", "ints-reversed", "ints-too-wide"])
+    def test_invalid_range_rejected(self, call):
+        rng = SplitMix64(5)
+        with pytest.raises(ValueError, match=r"^range \[-?\d+, -?\d+\] must hold between 1 and 2\*\*64 integers$"):
+            call(rng)
+        assert rng.next_u64() == next(splitmix64_reference(5))  # nothing drawn
+
+
+def reference_randint(ref, lo: int, hi: int) -> int:
+    """randint by rejection over the scalar reference stream."""
+    mask = (1 << 64) - 1
+    span = hi - lo + 1
+    limit = mask - (mask + 1) % span
+    for x in ref:
+        if x <= limit:
+            return lo + x % span
+
+
+SPANS = st.sampled_from([1, 2, 3, 1000, 2**63 + 1, 2**64]) | st.integers(1, 2**64)
+BOUNDS = st.integers(-(2**70), 2**70)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(-(2**80), 2**80),
+    iterators=st.tuples(BOUNDS, SPANS, BOUNDS, SPANS),
+    draws=st.lists(
+        st.tuples(st.sampled_from(["next_u64", "randint", "below", "ints_a", "ints_b"]),
+                  BOUNDS, SPANS, st.integers(1, 700)),
+        max_size=8,
+    ),
+)
+@example(seed=-1, iterators=(0, 2**63 + 1, 7, 1), draws=[
+    ("next_u64", 0, 1, 1500), ("ints_a", 0, 1, 1200), ("randint", 0, 2**64, 10), ("ints_b", 0, 1, 5),
+])
+def test_block_stream_matches_scalar_reference(seed, iterators, draws):
+    # every reading of the stream, interleaved in any order and running
+    # over block boundaries, gives the scalar stream's values in its order
+    lo_a, span_a, lo_b, span_b = iterators
+    rng = SplitMix64(seed)
+    ref = splitmix64_reference(seed)
+    ints_a = rng.ints(lo_a, lo_a + span_a - 1)
+    ints_b = rng.ints(lo_b, lo_b + span_b - 1)
+    for kind, lo, span, times in draws:
+        for _ in range(times):
+            if kind == "next_u64":
+                assert rng.next_u64() == next(ref)
+            elif kind == "randint":
+                assert rng.randint(lo, lo + span - 1) == reference_randint(ref, lo, lo + span - 1)
+            elif kind == "below":
+                assert rng.below(span) == reference_randint(ref, 0, span - 1)
+            elif kind == "ints_a":
+                assert next(ints_a) == reference_randint(ref, lo_a, lo_a + span_a - 1)
+            else:
+                assert next(ints_b) == reference_randint(ref, lo_b, lo_b + span_b - 1)
 
 
 class TestGenSpec:
