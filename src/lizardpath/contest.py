@@ -93,8 +93,9 @@ def contest_run(
         batch = le.get_min_batch()
         for e in batch:
             de = dist[e]
-            for leaf, w in adj[e]:
-                arc_scans += 1
+            leaves = adj[e]
+            arc_scans += len(leaves)
+            for leaf, w in leaves:
                 nw = de + w
                 dl = dist[leaf]
                 if dl is None:

@@ -9,12 +9,27 @@ Both validating constructors, :func:`build_graph` and
 :func:`load_dimacs`, check each arc once as they read it and append it
 to its root's leaf list; one assembly step then freezes the lists and
 min-merges parallel arcs on the nodes that have any.
+
+The builders (both constructors, and the trusted assembly the
+generators feed) pause the cyclic garbage collector while they
+allocate.  A build makes one (leaf, weight) tuple per arc and one list
+and one tuple per node, so a large one would otherwise set off
+thousands of collections, each scanning young objects that cannot form
+a cycle.  That is safe because the tuples, lists and ints a builder
+makes refer only to each other and to ints: they hold no cycle, so
+reference counting frees every temporary as before and a collection
+could find nothing among them.  Cyclic garbage made elsewhere during a
+build (by a caller's arc iterator, or another thread) waits for the
+first collection after it.  The collector's previous state is
+restored when the build returns or raises.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+from contextlib import contextmanager
 from itertools import repeat
 from operator import eq, sub
 from typing import Iterable, Iterator, TextIO
@@ -43,6 +58,22 @@ _ARC_RUN = re.compile(
 )
 
 LeafList = tuple[tuple[int, int], ...]
+
+
+@contextmanager
+def _gc_paused():
+    """Run the body with the cyclic collector off; turn it back on
+    afterwards only if it was on when the body started.
+
+    Used as a decorator, it pauses the collector for each call.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class GraphError(ValueError):
@@ -93,7 +124,8 @@ class Graph:
 
     ``n`` is the node count, ``arc_count`` the number of stored arcs after
     parallel-arc deduplication.  Safe to share across threads; nothing in
-    the solver stack ever mutates a built graph.
+    the solver stack ever mutates a built graph.  Graphs compare by value
+    and are unhashable.
     """
 
     __slots__ = ("n", "arc_count", "_adj")
@@ -104,6 +136,7 @@ class Graph:
         self.arc_count = arc_count
 
     @classmethod
+    @_gc_paused()
     def _from_leaf_lists(cls, n: int, leaf_lists: Iterable[Iterable[tuple[int, int]]]) -> Graph:
         """Trusted constructor for generators that build valid arcs directly."""
         adj = tuple(tuple(leaves) for leaves in leaf_lists)
@@ -132,13 +165,11 @@ class Graph:
             return NotImplemented
         return self.n == other.n and self._adj == other._adj
 
-    def __hash__(self):
-        return hash((self.n, self._adj))
-
     def __repr__(self):
         return f"Graph(n={self.n}, arcs={self.arc_count})"
 
 
+@_gc_paused()
 def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
     """Validate and assemble a graph from an (src, dst, weight) arc list.
 
@@ -238,6 +269,7 @@ def find_shorter_arms(g: Graph, labels: LabelState) -> list[tuple[int, int]]:
     return out
 
 
+@_gc_paused()
 def load_dimacs(stream: TextIO) -> Graph:
     """Parse the 9th DIMACS Challenge shortest-path text format.
 
