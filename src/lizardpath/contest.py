@@ -62,16 +62,13 @@ def contest_run(
     g: Graph,
     labels: LabelState,
     origins: list[int],
-    round_hook=None,
 ) -> tuple[LabelState, RunMetrics]:
     """Drain the origin set best-first until no violating arc remains.
 
     ``labels`` is corrected in place and returned alongside the metrics.
-    Each reaped batch holds every current minimum-key origin; improved
-    leaves are gathered once per round and inserted after the batch so
-    the round's batch composition never shifts under it.  ``round_hook``
-    (labels, reaped batch) is a diagnostic callback invoked after every
-    round.
+    Each reaped batch holds every current minimum-key origin; the round's
+    improved leaves are inserted after the batch, in the order they were
+    first improved, so the batch composition never shifts under it.
     """
     metrics = RunMetrics()
     dist = labels.dist
@@ -83,8 +80,7 @@ def contest_run(
     metrics.le_counters = le.counters
     adj = g._adj
     in_le = le._index  # uncharged membership, kept exact by delete/insert below
-    gathered: list[int] = []
-    gathered_mask = [False] * g.n
+    gathered: dict[int, None] = {}  # the round's improved leaves, first-improved order
     arc_scans = 0
     relabels = 0
     anomalies = 0
@@ -109,15 +105,10 @@ def contest_run(
                 relabels += 1
                 if leaf in in_le:
                     le.delete(leaf)
-                if not gathered_mask[leaf]:
-                    gathered_mask[leaf] = True
-                    gathered.append(leaf)
+                gathered[leaf] = None
         for leaf in gathered:
-            gathered_mask[leaf] = False
             le.insert(leaf, dist[leaf])
         gathered.clear()
-        if round_hook is not None:
-            round_hook(labels, batch)
 
     metrics.arc_scans = arc_scans
     metrics.relabels = relabels

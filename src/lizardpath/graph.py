@@ -251,17 +251,17 @@ class LabelState:
 def find_shorter_arms(g: Graph, labels: LabelState) -> list[tuple[int, int]]:
     """All arcs that still violate optimality under the given labels.
 
-    An arc (v, leaf) qualifies when v is labeled and the leaf is either
-    wild or reachable more cheaply through v.  An empty result certifies
-    that every labeled distance is optimal.
+    An arc (v, leaf) qualifies when v is labeled (``dist[v]`` is set)
+    and the leaf is either unlabeled or reachable more cheaply through v.
+    Only distances are read.  An empty result certifies that every
+    labeled distance is optimal.
     """
     dist = labels.dist
-    region = labels.region
     out: list[tuple[int, int]] = []
     for v in range(g.n):
-        if region[v] == 0:
-            continue
         dv = dist[v]
+        if dv is None:
+            continue
         for leaf, w in g._adj[v]:
             dl = dist[leaf]
             if dl is None or dl > dv + w:

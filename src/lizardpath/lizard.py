@@ -121,9 +121,6 @@ class LizardEntity:
         self.counters = CostCounters()
         self._index: dict[int, LizardItem] = {}  # every stored node -> its key's agency
 
-    def __len__(self) -> int:
-        return self.size
-
     def __contains__(self, node: int) -> bool:
         # uncharged O(1) bookkeeping test
         return node in self._index

@@ -34,15 +34,11 @@ def dijkstra(g: Graph, source: int) -> tuple[DistanceVector, dict]:
     dist: list[int | None] = [None] * g.n
     dist[source] = 0
     heap = [(0, source)]
-    pops = 0
     pushes = 1
-    stale = 0
     adj = g._adj
     while heap:
         d, v = heapq.heappop(heap)
-        pops += 1
         if d > dist[v]:
-            stale += 1
             continue
         for leaf, w in adj[v]:
             nd = d + w
@@ -51,7 +47,10 @@ def dijkstra(g: Graph, source: int) -> tuple[DistanceVector, dict]:
                 dist[leaf] = nd
                 heapq.heappush(heap, (nd, leaf))
                 pushes += 1
-    return dist, {"pops": pops, "pushes": pushes, "stale_skips": stale}
+    # the heap drains, so every push is popped once; each reached node
+    # pops exactly one entry at its final distance and the rest are stale
+    reached = g.n - dist.count(None)
+    return dist, {"pops": pushes, "pushes": pushes, "stale_skips": pushes - reached}
 
 
 def bellman_ford(g: Graph, source: int) -> tuple[DistanceVector, dict]:
@@ -75,8 +74,9 @@ def bellman_ford(g: Graph, source: int) -> tuple[DistanceVector, dict]:
             dv = dist[v]
             if dv is None:
                 continue
-            for leaf, w in adj[v]:
-                arc_scans += 1
+            leaves = adj[v]
+            arc_scans += len(leaves)
+            for leaf, w in leaves:
                 nd = dv + w
                 old = dist[leaf]
                 if old is None or nd < old:

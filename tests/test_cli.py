@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lizardpath import build_graph, cli, save_dimacs
+from lizardpath import RunMetrics, build_graph, cli, save_dimacs
 from lizardpath.cli import (
     SUITES,
     build_parser,
@@ -15,7 +15,6 @@ from lizardpath.cli import (
     metrics_record,
     report_csv,
     run_suite,
-    verify_instance,
 )
 from conftest import gen_layered_dag
 
@@ -263,11 +262,21 @@ class TestVerify:
         assert main(["verify", str(gr)]) == 0
         assert "brute force agrees" in capsys.readouterr().out
 
-    def test_fault_injection_fails(self):
-        g = build_graph(3, [(0, 1, 10), (0, 2, 1), (2, 1, 1)])
-        ok, lines = verify_instance(g, 0, inject_fault=True)
-        assert not ok
-        assert any(line.startswith("FAIL") for line in lines)
+    def test_fault_injection_fails(self, tmp_path, capsys, monkeypatch):
+        solve = cli.solve_sssp
+
+        def faulty_solve(g, opts):
+            labels, metrics = solve(g, opts)
+            labels.dist[1] += 1
+            return labels, metrics
+
+        monkeypatch.setattr(cli, "solve_sssp", faulty_solve)
+        gr = tmp_path / "t.gr"
+        gr.write_text(TRIANGLE_GR)
+        assert main(["verify", str(gr)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL ca == dijkstra" in out
+        assert "PASS bellman_ford == dijkstra" in out
 
 
 class TestBench:
@@ -368,7 +377,7 @@ class TestBench:
 
 def test_metrics_record_schema_for_plain_graph():
     g = build_graph(2, [(0, 1, 5)])
-    record = metrics_record("x", None, g, None, "dijkstra", None, [0, 5])
+    record = metrics_record("x", None, g, None, "dijkstra", RunMetrics(), [0, 5])
     assert set(record) == METRICS_FIELDS
     assert record["D"] == 0 and record["reap_mode"] is None
 

@@ -21,7 +21,7 @@ from lizardpath import (
     solve_sssp,
 )
 from lizardpath.cli import SUITES, checksum_dist
-from lizardpath.lizard import LizardItem
+from lizardpath.lizard import LizardEntity, LizardItem
 from conftest import gen_layered_dag, gen_random_sparse, make_chain
 
 
@@ -54,13 +54,17 @@ class TestContestRun:
         with pytest.raises(UnlabeledOriginError):
             contest_run(triangle, out.labels, [1])
 
-    def test_parent_links_acyclic_after_every_round(self):
+    def test_parent_links_acyclic_after_every_round(self, monkeypatch):
+        # every reap after the first follows a finished round, so checking
+        # before each reap and once at the end covers every round
+        reap = LizardEntity.get_min_batch
         for seed in range(10):
             g = gen_random_sparse(60, 0.2, seed ^ 0xF00, weight_range=(0, 50))
             out = hdm_run(g, 0)
+            parent = out.labels.parent
+            reaps = 0
 
-            def assert_acyclic(labels, batch):
-                parent = labels.parent
+            def assert_acyclic():
                 for v in range(g.n):
                     hops = 0
                     cur = v
@@ -69,7 +73,16 @@ class TestContestRun:
                         hops += 1
                         assert hops <= g.n, "cycle in parent array"
 
-            contest_run(g, out.labels, collect_origins(g, out.labels), round_hook=assert_acyclic)
+            def checked_reap(le):
+                nonlocal reaps
+                assert_acyclic()
+                reaps += 1
+                return reap(le)
+
+            monkeypatch.setattr(LizardEntity, "get_min_batch", checked_reap)
+            contest_run(g, out.labels, collect_origins(g, out.labels))
+            assert_acyclic()
+            assert reaps > 0
 
     def test_relabels_bounded_by_in_degree_total(self):
         for g in corpus(15, base=60):

@@ -18,6 +18,7 @@ from lizardpath import (
     NodeOutOfRangeError,
     SelfLoopError,
     build_graph,
+    contest_run,
     dijkstra,
     find_shorter_arms,
     gen_complete,
@@ -386,6 +387,21 @@ class TestFindShorterArms:
         g = build_graph(2, [(0, 1, 3)])
         labels = labels_from_dist(2, [0, None])
         assert find_shorter_arms(g, labels) == [(0, 1)]
+
+    def test_labeled_node_with_region_zero_is_checked(self):
+        # node 2 is labeled but keeps region 0, as a wild leaf relabeled by
+        # the correction does; its arc to 3 still violates
+        g = build_graph(4, [(0, 1, 2), (1, 2, 3), (2, 3, 1)])
+        labels = LabelState([None, 0, 1, 2], [0, 2, 5, 100], [1, 2, 0, 0])
+        assert find_shorter_arms(g, labels) == [(2, 3)]
+
+    def test_correction_from_bare_source_certifies(self):
+        g = build_graph(4, [(0, 1, 2), (1, 2, 3), (2, 3, 1)])
+        labels, m = contest_run(g, LabelState.initial(4, 0), [0])
+        assert m.anomalies == 3
+        assert labels.dist == dijkstra(g, 0)[0] == [0, 2, 5, 6]
+        assert labels.region == [1, 0, 0, 0]
+        assert find_shorter_arms(g, labels) == []
 
 
 arc_lists = st.integers(2, 12).flatmap(

@@ -39,6 +39,34 @@ class TestDijkstra:
             assert dj == br
 
 
+# Stats as tallied one pop and one arc scan at a time; the derived
+# counts (pops and stale_skips from pushes, arc scans per node) must
+# reproduce them.
+@pytest.mark.parametrize(
+    "make_graph, dijkstra_stats, bf_stats",
+    [
+        (lambda: build_graph(3, [(0, 1, 10), (0, 2, 1), (2, 1, 1)]),
+         {"pops": 4, "pushes": 4, "stale_skips": 1},
+         {"rounds": 2, "arc_scans": 6, "improvements": 3}),
+        (lambda: make_chain([3, 4, 0, 2]),
+         {"pops": 5, "pushes": 5, "stale_skips": 0},
+         {"rounds": 2, "arc_scans": 8, "improvements": 4}),
+        (lambda: gen_random_sparse(30, 0.2, 0),
+         {"pops": 47, "pushes": 47, "stale_skips": 17},
+         {"rounds": 3, "arc_scans": 486, "improvements": 56}),
+        # node 3 is unreachable, so pops exceed the reached count
+        (lambda: build_graph(4, [(0, 1, 5), (0, 2, 1), (2, 1, 1)]),
+         {"pops": 4, "pushes": 4, "stale_skips": 1},
+         {"rounds": 2, "arc_scans": 6, "improvements": 3}),
+    ],
+    ids=["triangle", "chain", "random-sparse", "unreachable"],
+)
+def test_stats_are_pinned(make_graph, dijkstra_stats, bf_stats):
+    g = make_graph()
+    assert dijkstra(g, 0)[1] == dijkstra_stats
+    assert bellman_ford(g, 0)[1] == bf_stats
+
+
 class TestBellmanFord:
     def test_chain_converges_in_one_round_plus_verification(self):
         _, stats = bellman_ford(make_chain([1, 1, 1]), 0)
