@@ -25,6 +25,7 @@ from .graph import (
     NegativeWeightError,
     NodeOutOfRangeError,
     SelfLoopError,
+    WeightTooLargeError,
     build_graph,
     find_shorter_arms,
     load_dimacs,
@@ -44,7 +45,7 @@ from .oracle import TooLargeError, bellman_ford, brute_force, dijkstra
 __all__ = [
     "Graph", "GraphError", "LabelState", "build_graph", "find_shorter_arms",
     "load_dimacs", "save_dimacs", "NodeOutOfRangeError", "NegativeWeightError",
-    "SelfLoopError", "DimacsParseError", "HeaderMismatchError",
+    "SelfLoopError", "DimacsParseError", "HeaderMismatchError", "WeightTooLargeError",
     "GenSpec", "SplitMix64", "generate", "gen_complete", "gen_random",
     "gen_grid", "DegreeTooLargeError",
     "HdmOutput", "RegionPartition", "hdm_run", "collect_origins",

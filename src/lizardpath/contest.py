@@ -35,16 +35,14 @@ class SolveOptions:
 class RunMetrics:
     """Counters for one solve, following the benchmark tables' accounting.
 
-    deletions is the structure's removal tally (D), arc_scans the leaf
-    visits of the correction phase (Q_A), relabels the improvements
-    taken (Q_S), le_cost the accumulated structure charge, and harmonic
-    le_cost / (n log2 n).
+    arc_scans is the leaf visits of the correction phase (Q_A), relabels
+    the improvements taken (Q_S), and harmonic le_cost / (n log2 n).
+    deletions (D) and le_cost (C_total) are read from the structure's
+    own tallies in ``le_counters``.
     """
 
-    deletions: int = 0
     arc_scans: int = 0
     relabels: int = 0
-    le_cost: int = 0
     harmonic: float = 0.0
     t_hdm_ms: float = 0.0
     t_ca_ms: float = 0.0
@@ -52,10 +50,13 @@ class RunMetrics:
     hdm_arc_scans: int = 0
     le_counters: CostCounters = field(default_factory=CostCounters)
 
-    def finish(self, n: int) -> None:
-        self.deletions = self.le_counters.deletions
-        self.le_cost = self.le_counters.total_cost
-        self.harmonic = self.le_cost / (n * math.log2(n)) if n >= 2 else 0.0
+    @property
+    def deletions(self) -> int:
+        return self.le_counters.deletions
+
+    @property
+    def le_cost(self) -> int:
+        return self.le_counters.total_cost
 
 
 def contest_run(
@@ -79,13 +80,13 @@ def contest_run(
     le = LizardEntity.build([(v, dist[v]) for v in origins])
     metrics.le_counters = le.counters
     adj = g._adj
-    in_le = le._index  # uncharged membership, kept exact by delete/insert below
+    in_le = le._index  # uncharged membership; empty exactly when the LE is
     gathered: dict[int, None] = {}  # the round's improved leaves, first-improved order
     arc_scans = 0
     relabels = 0
     anomalies = 0
 
-    while le.size:
+    while in_le:
         batch = le.get_min_batch()
         for e in batch:
             de = dist[e]
@@ -96,7 +97,7 @@ def contest_run(
                 dl = dist[leaf]
                 if dl is None:
                     # wild leaf: cannot occur after a full first pass,
-                    # kept as a defensive rule (region id stays 0)
+                    # kept as a defensive rule; it is labeled like any other
                     anomalies += 1
                 elif dl <= nw:
                     continue
@@ -113,7 +114,7 @@ def contest_run(
     metrics.arc_scans = arc_scans
     metrics.relabels = relabels
     metrics.anomalies = anomalies
-    metrics.finish(g.n)
+    metrics.harmonic = metrics.le_cost / (g.n * math.log2(g.n)) if g.n >= 2 else 0.0
     return labels, metrics
 
 

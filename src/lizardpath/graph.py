@@ -224,17 +224,16 @@ class LabelState:
     """Per-node labeling arrays shared by the solver pipeline.
 
     ``parent[v]`` is the predecessor on the current best path (None for
-    the source and unvisited nodes), ``dist[v]`` the current total weight
-    (None = unset), ``region[v]`` the layer id assigned by the first
-    pass (0 = wild, i.e. never visited).
+    the source and unvisited nodes), and ``dist[v]`` the current total
+    weight (None = unset).  The first pass's layer ids are not kept here:
+    :func:`~lizardpath.hdm.hdm_run` returns them as ``HdmOutput.region``.
     """
 
-    __slots__ = ("parent", "dist", "region")
+    __slots__ = ("parent", "dist")
 
-    def __init__(self, parent: list[int | None], dist: list[int | None], region: list[int]):
+    def __init__(self, parent: list[int | None], dist: list[int | None]):
         self.parent = parent
         self.dist = dist
-        self.region = region
 
     @classmethod
     def initial(cls, n: int, source: int) -> LabelState:
@@ -242,10 +241,8 @@ class LabelState:
             raise NodeOutOfRangeError(source, n)
         parent: list[int | None] = [None] * n
         dist: list[int | None] = [None] * n
-        region = [0] * n
         dist[source] = 0
-        region[source] = 1
-        return cls(parent, dist, region)
+        return cls(parent, dist)
 
 
 def find_shorter_arms(g: Graph, labels: LabelState) -> list[tuple[int, int]]:

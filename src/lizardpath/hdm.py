@@ -29,7 +29,15 @@ class RegionPartition:
 
 @dataclass
 class HdmOutput:
+    """The first pass's labels, its layers, and its origin harvest.
+
+    ``region[v]`` is v's layer id, 1 for the source and 0 for a node the
+    pass never reached; ``partition`` lists the same layers as node lists,
+    so ``partition.k`` is the largest id.
+    """
+
     labels: LabelState
+    region: list[int]
     partition: RegionPartition
     origins: list[int]
     arc_scans: int
@@ -47,7 +55,8 @@ def hdm_run(g: Graph, source: int) -> HdmOutput:
     labels = LabelState.initial(g.n, source)
     parent = labels.parent
     dist = labels.dist
-    region = labels.region
+    region = [0] * g.n
+    region[source] = 1
     adj = g._adj
 
     regions = [[source]]
@@ -86,7 +95,7 @@ def hdm_run(g: Graph, source: int) -> HdmOutput:
         i += 1
 
     origins.sort()
-    return HdmOutput(labels, RegionPartition(regions), origins, arc_scans)
+    return HdmOutput(labels, region, RegionPartition(regions), origins, arc_scans)
 
 
 def collect_origins(g: Graph, labels: LabelState) -> list[int]:

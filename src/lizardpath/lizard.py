@@ -90,7 +90,9 @@ class LizardItem:
     it maps the other nodes of the key to None in insertion order.  An
     OrderedDict, not a dict, because the hand-over pops its oldest node:
     a plain dict keeps the popped slots at its front until it is resized,
-    so n hand-overs in a row would rescan them in O(n^2).
+    so n hand-overs in a row would rescan them in O(n^2).  A removed
+    agency keeps its links, but no stored item links to it, so reference
+    counting frees it at once.
     """
 
     __slots__ = ("node", "key", "cousins", "left", "right", "up", "prev", "next")
@@ -112,14 +114,18 @@ class LizardItem:
 class LizardEntity:
     """The assembled priority structure with instrumented costs."""
 
-    __slots__ = ("bst_root", "ara_min", "size", "counters", "_index")
+    __slots__ = ("bst_root", "ara_min", "counters", "_index")
 
     def __init__(self):
         self.bst_root: LizardItem | None = None
         self.ara_min: LizardItem | None = None
-        self.size = 0
         self.counters = CostCounters()
         self._index: dict[int, LizardItem] = {}  # every stored node -> its key's agency
+
+    @property
+    def size(self) -> int:
+        """The number of stored nodes, cousins included."""
+        return len(self._index)
 
     def __contains__(self, node: int) -> bool:
         # uncharged O(1) bookkeeping test
@@ -161,7 +167,6 @@ class LizardEntity:
             prev = item
         le.ara_min = agencies[0]
         le.bst_root = _pyramid(agencies, 0, len(agencies), None)
-        le.size = k
         le.counters.build += k * (k - 1).bit_length() + k
         return le
 
@@ -179,7 +184,6 @@ class LizardEntity:
         index = self._index
         if node in index:
             raise DuplicateNodeError(node)
-        self.size += 1
         cur = self.bst_root
         if cur is None:
             item = LizardItem(node, key)
@@ -216,8 +220,9 @@ class LizardEntity:
         index[node] = item
         item.up = cur
         charge = visited + 1
-        # the new leaf's depth is `visited`; rebuild when it exceeds log_{3/2}(size)
-        if self.size < _DEEPER_THAN_LOG[visited]:
+        # the new leaf's depth is `visited`; rebuild when it exceeds
+        # log_{3/2}(size), where the index already counts the new node
+        if len(index) < _DEEPER_THAN_LOG[visited]:
             charge += self._rebuild_scapegoat(item)
         self.counters.insert += charge
 
@@ -241,7 +246,6 @@ class LizardEntity:
         else:
             self._excise_agency(item)
             self.counters.delete += 4
-        self.size -= 1
         self.counters.deletions += 1
 
     def get_min_batch(self) -> list[int]:
@@ -270,11 +274,9 @@ class LizardEntity:
         self.ara_min = after
         if after is not None:
             after.prev = None
-        _scrub(agency)
         index = self._index
         for n in nodes:
             del index[n]
-        self.size -= kbatch
         self.counters.getmin += 2 * kbatch
         self.counters.deletions += kbatch
         self.counters.batches += 1
@@ -360,8 +362,6 @@ class LizardEntity:
             item.prev.next = item.next
         if item.next is not None:
             item.next.prev = item.prev
-        item.prev = None
-        item.next = None
 
     def _excise_agency(self, item: LizardItem) -> None:
         """Remove a cousin-free agency from both BST and ARA.
@@ -384,7 +384,6 @@ class LizardEntity:
             succ.left = item.left
             succ.left.up = succ
         self._ara_unlink(item)
-        _scrub(item)
 
     def _transplant(self, old: LizardItem, new: LizardItem | None) -> None:
         if old.up is None:
@@ -412,11 +411,3 @@ def _pyramid(agencies: list[LizardItem], lo: int, hi: int, up: LizardItem | None
     item.left = _pyramid(agencies, lo, mid, item) if lo < mid else None
     item.right = _pyramid(agencies, mid + 1, hi, item) if mid + 1 < hi else None
     return item
-
-
-def _scrub(item: LizardItem) -> None:
-    item.left = None
-    item.right = None
-    item.up = None
-    item.prev = None
-    item.next = None

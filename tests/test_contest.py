@@ -196,11 +196,11 @@ class TestWildLeafHandling:
     def test_hand_built_labels_with_missing_node(self):
         # 0 -> 1 -> 2 where node 2 was never labeled by the first pass
         g = build_graph(3, [(0, 1, 2), (1, 2, 3)])
-        labels = LabelState([None, 0, None], [0, 2, None], [1, 2, 0])
+        labels = LabelState([None, 0, None], [0, 2, None])
         out, m = contest_run(g, labels, [1])
         assert m.anomalies == 1
         assert out.dist == [0, 2, 5]
-        assert out.region[2] == 0  # wild region id is preserved
+        assert out.parent == [None, 0, 1]
 
     def test_empty_graph_run(self):
         g = build_graph(1, [])

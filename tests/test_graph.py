@@ -66,6 +66,13 @@ class TestBuildGraph:
             build_graph(2, [(0, 1, MAX_WEIGHT + 1)])
         build_graph(2, [(0, 1, MAX_WEIGHT)])  # boundary is legal
 
+    def test_weight_error_is_exported(self):
+        import lizardpath
+
+        assert "WeightTooLargeError" in lizardpath.__all__
+        with pytest.raises(lizardpath.WeightTooLargeError):
+            build_graph(2, [(0, 1, MAX_WEIGHT + 1)])
+
     def test_node_out_of_range(self):
         with pytest.raises(NodeOutOfRangeError):
             build_graph(2, [(0, 2, 1)])
@@ -363,8 +370,7 @@ class TestGcPause:
 
 
 def labels_from_dist(n: int, dist: list) -> LabelState:
-    region = [1 if d is not None else 0 for d in dist]
-    return LabelState([None] * n, list(dist), region)
+    return LabelState([None] * n, list(dist))
 
 
 class TestFindShorterArms:
@@ -389,10 +395,10 @@ class TestFindShorterArms:
         assert find_shorter_arms(g, labels) == [(0, 1)]
 
     def test_labeled_node_with_region_zero_is_checked(self):
-        # node 2 is labeled but keeps region 0, as a wild leaf relabeled by
-        # the correction does; its arc to 3 still violates
+        # nodes 2 and 3 have labels no first pass gave them (region 0), as
+        # wild leaves relabeled by the correction do; 2's arc to 3 violates
         g = build_graph(4, [(0, 1, 2), (1, 2, 3), (2, 3, 1)])
-        labels = LabelState([None, 0, 1, 2], [0, 2, 5, 100], [1, 2, 0, 0])
+        labels = LabelState([None, 0, 1, 2], [0, 2, 5, 100])
         assert find_shorter_arms(g, labels) == [(2, 3)]
 
     def test_correction_from_bare_source_certifies(self):
@@ -400,7 +406,6 @@ class TestFindShorterArms:
         labels, m = contest_run(g, LabelState.initial(4, 0), [0])
         assert m.anomalies == 3
         assert labels.dist == dijkstra(g, 0)[0] == [0, 2, 5, 6]
-        assert labels.region == [1, 0, 0, 0]
         assert find_shorter_arms(g, labels) == []
 
 

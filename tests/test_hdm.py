@@ -20,13 +20,15 @@ def check_partition(g: Graph, out: HdmOutput, source: int) -> str | None:
     """Validate region-partition invariants; returns a message or None.
 
     Checks: first region is exactly the source, regions are disjoint,
-    their union is the reachable set, and every node in region i > 1 has
-    an in-arc from region i-1.
+    their union is the reachable set, every node in region i > 1 has
+    an in-arc from region i-1, and the largest layer id is the layer count.
     """
     regions = out.partition.regions
-    region = out.labels.region
+    region = out.region
     if not regions or regions[0] != [source]:
         return "first region must be exactly [source]"
+    if out.partition.k != max(region):
+        return f"partition.k {out.partition.k} != largest layer id {max(region)}"
     seen: set[int] = set()
     for idx, nodes in enumerate(regions, start=1):
         for v in nodes:
@@ -38,6 +40,8 @@ def check_partition(g: Graph, out: HdmOutput, source: int) -> str | None:
     labeled = {v for v in range(g.n) if region[v] > 0}
     if seen != labeled:
         return "regions do not cover exactly the labeled nodes"
+    if labeled != {v for v in range(g.n) if out.labels.dist[v] is not None}:
+        return "layer ids and distances disagree on which nodes are labeled"
     # feed arcs: some in-arc from the previous layer must exist
     feeds: list[set[int]] = [set() for _ in range(len(regions) + 2)]
     for v, leaf, _ in g.arcs():
@@ -63,21 +67,21 @@ class TestHdmRun:
     def test_single_node(self):
         out = hdm_run(build_graph(1, []), 0)
         assert out.labels.dist == [0]
-        assert out.labels.region == [1]
+        assert out.region == [1]
         assert out.partition.regions == [[0]]
         assert out.arc_scans == 0
 
     def test_chain_labels_and_regions(self):
         out = hdm_run(make_chain([3, 4]), 0)
         assert out.labels.dist == [0, 3, 7]
-        assert out.labels.region == [1, 2, 3]
+        assert out.region == [1, 2, 3]
         assert out.labels.parent == [None, 0, 1]
 
     def test_triangle_keeps_overshoot(self, triangle):
         # leaf 1 sits in root 2's own layer, so the pass must not touch it
         out = hdm_run(triangle, 0)
         assert out.labels.dist == [0, 10, 1]
-        assert out.labels.region == [1, 2, 2]
+        assert out.region == [1, 2, 2]
 
     def test_source_out_of_range(self):
         with pytest.raises(NodeOutOfRangeError):
@@ -86,7 +90,7 @@ class TestHdmRun:
     def test_unreachable_nodes_stay_wild(self):
         g = build_graph(4, [(0, 1, 2), (3, 2, 1)])
         out = hdm_run(g, 0)
-        assert out.labels.region[2] == 0 and out.labels.region[3] == 0
+        assert out.region[2] == 0 and out.region[3] == 0
         assert out.labels.dist[2] is None and out.labels.dist[3] is None
 
     def test_arc_scans_cover_reachable_out_degrees(self):
