@@ -121,7 +121,8 @@ class GenSpec:
 
     ``n`` sizes the complete and random families and ``rows``/``cols``
     the grid; ``m`` is the per-node out-degree of the random family, and
-    0 means the default, ceil(log2 n).  A nonzero size or degree that
+    0 means the default, ceil(log2 n).  A random spec needs an effective
+    out-degree below ``n``.  A nonzero size or degree that
     the family does not use is rejected, not ignored.  Weights lie in
     1..graph.MAX_WEIGHT, so every generated graph saves to a file that
     loads back.
@@ -160,6 +161,8 @@ class GenSpec:
             raise GraphError(f"{self.node_count} nodes exceed limit {graph.MAX_NODES}")
         if self.arc_count > MAX_ARCS:
             raise GraphError(f"{self.arc_count} arcs exceed limit {MAX_ARCS}")
+        if self.family == "random" and self.effective_m() >= self.n:
+            raise DegreeTooLargeError(self.effective_m(), self.n)
 
     @property
     def node_count(self) -> int:
@@ -211,8 +214,6 @@ def gen_random(spec: GenSpec) -> Graph:
     """
     n = spec.n
     m = spec.effective_m()
-    if m >= n:
-        raise DegreeTooLargeError(m, n)
     rng = SplitMix64(spec.seed)
     node = rng.ints(0, n - 1).__next__
     weight = rng.ints(*spec.weight_range).__next__

@@ -38,9 +38,9 @@ from typing import Iterable, Iterator, TextIO
 # accumulated in plain Python ints, so no sum can overflow.
 MAX_WEIGHT = 2**32 - 1
 
-# Largest node count a DIMACS problem line may declare.  The loader
-# allocates one leaf list per node as soon as it reads the header, so an
-# unbounded count would exhaust memory before any arc is read.
+# Largest node count a DIMACS problem line or a build_graph call may
+# declare.  Both allocate one leaf list per node before they read any
+# arc, so an unbounded count would exhaust memory first.
 MAX_NODES = 2**24
 
 # load_dimacs reads its stream in blocks of this many characters.
@@ -122,7 +122,8 @@ class HeaderMismatchError(GraphError):
 class Graph:
     """Immutable weighted digraph.
 
-    ``n`` is the node count, ``arc_count`` the number of stored arcs after
+    Built from its leaf lists alone: ``n`` is their number and
+    ``arc_count`` their total length, the number of stored arcs after
     parallel-arc deduplication.  Safe to share across threads; nothing in
     the solver stack ever mutates a built graph.  Graphs compare by value
     and are unhashable.
@@ -130,10 +131,10 @@ class Graph:
 
     __slots__ = ("n", "arc_count", "_adj")
 
-    def __init__(self, n: int, adj: tuple[LeafList, ...], arc_count: int):
-        self.n = n
+    def __init__(self, adj: tuple[LeafList, ...]):
+        self.n = len(adj)
         self._adj = adj
-        self.arc_count = arc_count
+        self.arc_count = sum(map(len, adj))
 
     @classmethod
     @_gc_paused()
@@ -141,7 +142,7 @@ class Graph:
         """Trusted constructor for generators that build valid arcs directly."""
         adj = tuple(tuple(leaves) for leaves in leaf_lists)
         assert len(adj) == n
-        return cls(n, adj, sum(len(ll) for ll in adj))
+        return cls(adj)
 
     def leaf_set(self, v: int) -> LeafList:
         """Ordered (leaf, weight) pairs of node v's out-arcs; () if none."""
@@ -150,9 +151,7 @@ class Graph:
         return self._adj[v]
 
     def out_degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise NodeOutOfRangeError(v, self.n)
-        return len(self._adj[v])
+        return len(self.leaf_set(v))
 
     def arcs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (src, dst, weight) in stored order."""
@@ -173,6 +172,7 @@ class Graph:
 def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
     """Validate and assemble a graph from an (src, dst, weight) arc list.
 
+    ``n`` may be at most :data:`MAX_NODES`, as in a DIMACS header.
     Each arc is checked once and appended to its root's leaf list.  Of
     an arc with several faults, the first in the order node range
     (src, then dst), self-loop, negative weight, weight limit is raised.
@@ -181,6 +181,8 @@ def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
     """
     if n < 0:
         raise GraphError(f"node count must be nonnegative, got {n}")
+    if n > MAX_NODES:
+        raise GraphError(f"node count {n} exceeds limit {MAX_NODES}")
     lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for src, dst, w in arcs:
         if not (0 <= src < n and 0 <= dst < n and src != dst and 0 <= w <= MAX_WEIGHT):
@@ -208,8 +210,7 @@ def _assemble(lists: list[list[tuple[int, int]]]) -> Graph:
     a list that repeats a leaf is min-merged: each leaf keeps the
     position of its first arc and the least weight of all its arcs.
     """
-    adj = tuple(tuple(ll) if len(dict(ll)) == len(ll) else _min_merge(ll) for ll in lists)
-    return Graph(len(adj), adj, sum(map(len, adj)))
+    return Graph(tuple(tuple(ll) if len(dict(ll)) == len(ll) else _min_merge(ll) for ll in lists))
 
 
 def _min_merge(leaves: list[tuple[int, int]]) -> LeafList:

@@ -7,24 +7,22 @@ label, while an arc into the same or an earlier layer that would improve
 its leaf marks its root as an origin for the correction phase.  Distances
 produced here are upper bounds; they are exact, and the origin harvest is
 empty, when every arc of the instance crosses exactly one layer forward.
+The pass keeps only the current and the next layer's node lists; the
+region ids are the one record of layer membership.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph, LabelState, NodeOutOfRangeError, find_shorter_arms
 
 
 @dataclass
 class RegionPartition:
-    """Layer lists r_1..r_k; regions[0] is the source layer (id 1)."""
+    """The first pass's layer count: ``k`` is the largest region id."""
 
-    regions: list[list[int]] = field(default_factory=list)
-
-    @property
-    def k(self) -> int:
-        return len(self.regions)
+    k: int
 
 
 @dataclass
@@ -32,8 +30,8 @@ class HdmOutput:
     """The first pass's labels, its layers, and its origin harvest.
 
     ``region[v]`` is v's layer id, 1 for the source and 0 for a node the
-    pass never reached; ``partition`` lists the same layers as node lists,
-    so ``partition.k`` is the largest id.
+    pass never reached; it is the only record of which node lies in which
+    layer.  ``partition.k`` is the number of layers.
     """
 
     labels: LabelState
@@ -59,17 +57,16 @@ def hdm_run(g: Graph, source: int) -> HdmOutput:
     region[source] = 1
     adj = g._adj
 
-    regions = [[source]]
     origins: list[int] = []
     arc_scans = 0
 
-    frontier = regions[0]
+    # every node of the frontier lies in layer i
+    frontier = [source]
     i = 1
     while frontier:
         next_frontier: list[int] = []
         for v in frontier:
             dv = dist[v]
-            rv = region[v]
             leaves = adj[v]
             arc_scans += len(leaves)
             violated = False
@@ -80,7 +77,7 @@ def hdm_run(g: Graph, source: int) -> HdmOutput:
                     next_frontier.append(leaf)
                     parent[leaf] = v
                     dist[leaf] = dv + w
-                elif rl > rv:
+                elif rl > i:
                     nw = dv + w
                     if dist[leaf] > nw:
                         parent[leaf] = v
@@ -89,13 +86,12 @@ def hdm_run(g: Graph, source: int) -> HdmOutput:
                     violated = True
             if violated:
                 origins.append(v)
-        if next_frontier:
-            regions.append(next_frontier)
         frontier = next_frontier
         i += 1
 
     origins.sort()
-    return HdmOutput(labels, region, RegionPartition(regions), origins, arc_scans)
+    # the loop stops with i one past the last non-empty layer
+    return HdmOutput(labels, region, RegionPartition(i - 1), origins, arc_scans)
 
 
 def collect_origins(g: Graph, labels: LabelState) -> list[int]:

@@ -207,14 +207,14 @@ class LizardEntity:
                 if cur.left is None:
                     item = LizardItem(node, key)
                     cur.left = item
-                    self._ara_link_before(cur, item)
+                    self._ara_link(cur.prev, item, cur)
                     break
                 cur = cur.left
             else:
                 if cur.right is None:
                     item = LizardItem(node, key)
                     cur.right = item
-                    self._ara_link_after(cur, item)
+                    self._ara_link(cur, item, cur.next)
                     break
                 cur = cur.right
         index[node] = item
@@ -339,21 +339,16 @@ class LizardEntity:
 
     # -- link plumbing -----------------------------------------------
 
-    def _ara_link_before(self, anchor: LizardItem, item: LizardItem) -> None:
-        item.next = anchor
-        item.prev = anchor.prev
-        if anchor.prev is None:
+    def _ara_link(self, prev: LizardItem | None, item: LizardItem, nxt: LizardItem | None) -> None:
+        """Splice item into the ARA between two neighbours (None at an end)."""
+        item.prev = prev
+        item.next = nxt
+        if prev is None:
             self.ara_min = item
         else:
-            anchor.prev.next = item
-        anchor.prev = item
-
-    def _ara_link_after(self, anchor: LizardItem, item: LizardItem) -> None:
-        item.prev = anchor
-        item.next = anchor.next
-        if anchor.next is not None:
-            anchor.next.prev = item
-        anchor.next = item
+            prev.next = item
+        if nxt is not None:
+            nxt.prev = item
 
     def _ara_unlink(self, item: LizardItem) -> None:
         if item.prev is None:

@@ -299,6 +299,18 @@ class TestBench:
             assert run["reap_mode"] == "repeat_delete"
             assert (run["D"], run["C_total"]) == (table["D"], table["C_total"])
 
+    def test_wrong_distance_clears_checksum_flag(self, monkeypatch):
+        solve = cli.solve_sssp
+
+        def faulty_solve(g, opts):
+            labels, metrics = solve(g, opts)
+            labels.dist[1] += 1
+            return labels, metrics
+
+        monkeypatch.setattr(cli, "solve_sssp", faulty_solve)
+        row = cli.bench_row("grid-3x3", dict(family="grid", rows=3, cols=3), seed=1)
+        assert row["table"]["w_checksum_equal"] is False
+
     def test_counters_deterministic_across_runs(self):
         drop_times = lambda t: {k: v for k, v in t.items() if not k.startswith("t_")}
         a = run_suite("mini", seed=11)

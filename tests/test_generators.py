@@ -233,8 +233,10 @@ class TestRandom:
             assert v not in leaves
 
     def test_degree_too_large(self):
-        with pytest.raises(DegreeTooLargeError):
-            gen_random(GenSpec(family="random", n=5, m=5, seed=1))
+        # the spec itself is refused, so no caller sees its arc_count
+        with pytest.raises(DegreeTooLargeError, match="^out-degree 5 must be smaller than node count 5$"):
+            GenSpec(family="random", n=5, m=5, seed=1)
+        assert GenSpec(family="random", n=5, m=4).arc_count == 20
 
     def test_deterministic(self):
         spec = GenSpec(family="random", n=50, m=6, seed=77)

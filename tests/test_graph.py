@@ -73,6 +73,12 @@ class TestBuildGraph:
         with pytest.raises(lizardpath.WeightTooLargeError):
             build_graph(2, [(0, 1, MAX_WEIGHT + 1)])
 
+    def test_node_count_cap(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_NODES", 3)
+        assert build_graph(3, [(0, 2, 1)]).n == 3
+        with pytest.raises(GraphError, match=r"^node count 4 exceeds limit 3$"):
+            build_graph(4, [(0, 3, 1)])
+
     def test_node_out_of_range(self):
         with pytest.raises(NodeOutOfRangeError):
             build_graph(2, [(0, 2, 1)])
