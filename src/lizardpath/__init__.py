@@ -27,7 +27,6 @@ from .graph import (
     SelfLoopError,
     WeightTooLargeError,
     build_graph,
-    find_shorter_arms,
     load_dimacs,
     save_dimacs,
 )
@@ -43,7 +42,7 @@ from .lizard import (
 from .oracle import TooLargeError, bellman_ford, brute_force, dijkstra
 
 __all__ = [
-    "Graph", "GraphError", "LabelState", "build_graph", "find_shorter_arms",
+    "Graph", "GraphError", "LabelState", "build_graph",
     "load_dimacs", "save_dimacs", "NodeOutOfRangeError", "NegativeWeightError",
     "SelfLoopError", "DimacsParseError", "HeaderMismatchError", "WeightTooLargeError",
     "GenSpec", "SplitMix64", "generate", "gen_complete", "gen_random",

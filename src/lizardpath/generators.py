@@ -128,7 +128,7 @@ class GenSpec:
     loads back.
     """
 
-    family: str  # complete | random | grid
+    family: str  # a key of FAMILIES
     n: int = 0
     rows: int = 0
     cols: int = 0
@@ -137,7 +137,7 @@ class GenSpec:
     seed: int = 1
 
     def __post_init__(self):
-        if self.family not in ("complete", "random", "grid"):
+        if self.family not in FAMILIES:
             raise GraphError(f"unknown family {self.family!r}")
         w_min, w_max = self.weight_range
         if not 1 <= w_min <= w_max <= graph.MAX_WEIGHT:
@@ -180,14 +180,6 @@ class GenSpec:
 
     def effective_m(self) -> int:
         return self.m if self.m > 0 else math.ceil(math.log2(self.n))
-
-
-def generate(spec: GenSpec) -> Graph:
-    if spec.family == "complete":
-        return gen_complete(spec)
-    if spec.family == "random":
-        return gen_random(spec)
-    return gen_grid(spec)
 
 
 def gen_complete(spec: GenSpec) -> Graph:
@@ -259,3 +251,11 @@ def gen_grid(spec: GenSpec) -> Graph:
                 yield leaves
 
     return Graph._from_leaf_lists(rows * cols, leaf_lists())
+
+
+# Each family's generator, under the name GenSpec and gen --family take.
+FAMILIES = {"complete": gen_complete, "random": gen_random, "grid": gen_grid}
+
+
+def generate(spec: GenSpec) -> Graph:
+    return FAMILIES[spec.family](spec)

@@ -246,27 +246,6 @@ class LabelState:
         return cls(parent, dist)
 
 
-def find_shorter_arms(g: Graph, labels: LabelState) -> list[tuple[int, int]]:
-    """All arcs that still violate optimality under the given labels.
-
-    An arc (v, leaf) qualifies when v is labeled (``dist[v]`` is set)
-    and the leaf is either unlabeled or reachable more cheaply through v.
-    Only distances are read.  An empty result certifies that every
-    labeled distance is optimal.
-    """
-    dist = labels.dist
-    out: list[tuple[int, int]] = []
-    for v in range(g.n):
-        dv = dist[v]
-        if dv is None:
-            continue
-        for leaf, w in g._adj[v]:
-            dl = dist[leaf]
-            if dl is None or dl > dv + w:
-                out.append((v, leaf))
-    return out
-
-
 @_gc_paused()
 def load_dimacs(stream: TextIO) -> Graph:
     """Parse the 9th DIMACS Challenge shortest-path text format.
@@ -276,7 +255,8 @@ def load_dimacs(stream: TextIO) -> Graph:
     are plain ASCII digit strings: no sign, no ``_`` separators, no
     other scripts' digits.  The header may declare at most
     :data:`MAX_NODES` nodes.  A stream that fails to decode raises
-    :class:`GraphError`, before any fault in the lines of the same block.
+    :class:`GraphError`, before any fault in the lines of the same block,
+    and so does an empty one.
 
     One pass over blocks of :data:`_BLOCK_CHARS` characters, each cut
     after its last line end, so memory never holds the whole text.  The
@@ -323,13 +303,7 @@ def load_dimacs(stream: TextIO) -> Graph:
                 if kind == "a":
                     if len(fields) != 4:
                         raise DimacsParseError(lineno, f"malformed arc line: {line.strip()!r}")
-                    _, su, sv, sw = fields
-                    if not (line.isascii() and su.isdigit() and sv.isdigit() and sw.isdigit()):
-                        raise DimacsParseError(lineno, f"arc line fields must be ASCII digits: {line.strip()!r}")
-                    try:
-                        u, v, w = int(su), int(sv), int(sw)
-                    except ValueError:
-                        raise _long_number(lineno, fields) from None
+                    u, v, w = _numbers(lineno, line, fields[1:], "arc line fields")
                     # n is -1 until the problem line, so this also catches arcs before it
                     if not (0 < u <= n and 0 < v <= n) or u == v or w > MAX_WEIGHT:
                         raise DimacsParseError(lineno, _arc_fault(u, v, w, n))
@@ -341,13 +315,7 @@ def load_dimacs(stream: TextIO) -> Graph:
                         raise DimacsParseError(lineno, "duplicate problem line")
                     if len(fields) != 4 or fields[1] != "sp":
                         raise DimacsParseError(lineno, f"malformed problem line: {line.strip()!r}")
-                    _, _, sn, sm = fields
-                    if not (line.isascii() and sn.isdigit() and sm.isdigit()):
-                        raise DimacsParseError(lineno, f"problem line counts must be ASCII digits: {line.strip()!r}")
-                    try:
-                        n, declared = int(sn), int(sm)
-                    except ValueError:
-                        raise _long_number(lineno, fields) from None
+                    n, declared = _numbers(lineno, line, fields[2:], "problem line counts")
                     if n > MAX_NODES:
                         raise DimacsParseError(lineno, f"node count {n} exceeds limit {MAX_NODES}")
                     lists = [[] for _ in range(n)]
@@ -358,6 +326,8 @@ def load_dimacs(stream: TextIO) -> Graph:
     except UnicodeDecodeError as exc:
         raise GraphError(f"input is not UTF-8 text: {exc.reason}") from None
     if n < 0:
+        if not lineno:
+            raise GraphError("input is empty")
         raise DimacsParseError(lineno, "missing problem line")
     arc_lines = sum(map(len, lists))
     if arc_lines != declared:
@@ -389,9 +359,16 @@ def _add_arc_run(run: str, lists: list[list[tuple[int, int]]], n: int, lineno: i
     return lineno + len(us)
 
 
-def _long_number(lineno: int, fields: list[str]) -> DimacsParseError:
-    """A digit string too long for ``int`` (see ``sys.set_int_max_str_digits``)."""
-    return DimacsParseError(lineno, f"number of {max(map(len, fields))} digits is too long")
+def _numbers(lineno: int, line: str, fields: list[str], what: str) -> list[int]:
+    """The values of the number ``fields`` of one DIMACS line, which
+    ``what`` names in the error for a field that is not ASCII digits."""
+    if not (line.isascii() and all(map(str.isdigit, fields))):
+        raise DimacsParseError(lineno, f"{what} must be ASCII digits: {line.strip()!r}")
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        # int() refuses digit strings past sys.get_int_max_str_digits()
+        raise DimacsParseError(lineno, f"number of {max(map(len, fields))} digits is too long") from None
 
 
 def _arc_fault(u: int, v: int, w: int, n: int) -> str:

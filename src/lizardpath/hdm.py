@@ -9,13 +9,17 @@ produced here are upper bounds; they are exact, and the origin harvest is
 empty, when every arc of the instance crosses exactly one layer forward.
 The pass keeps only the current and the next layer's node lists; the
 region ids are the one record of layer membership.
+
+:func:`collect_origins` rescans finished labels for the same roots: it
+is the harvest's reference and, after the correction, the certificate,
+since an empty list means every labeled distance is optimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, LabelState, NodeOutOfRangeError, find_shorter_arms
+from .graph import Graph, LabelState
 
 
 @dataclass
@@ -95,10 +99,22 @@ def hdm_run(g: Graph, source: int) -> HdmOutput:
 
 
 def collect_origins(g: Graph, labels: LabelState) -> list[int]:
-    """Roots of every arc still violating optimality, duplicate-free and
-    in node-id order.
+    """Roots of every arc still violating optimality, in node-id order.
 
-    A full pass over all arcs; after :func:`hdm_run` it returns exactly
-    that pass's ``origins``, and serves as their reference.
+    An arc (v, leaf) violates when v is labeled and the leaf is unlabeled
+    or cheaper through v; only ``dist`` is read.  Each root is listed once,
+    at its first violating arc.  After :func:`hdm_run` this equals the
+    pass's ``origins``; an empty list certifies every labeled distance.
     """
-    return list(dict.fromkeys(v for v, _ in find_shorter_arms(g, labels)))
+    dist = labels.dist
+    origins: list[int] = []
+    for v, leaves in enumerate(g._adj):
+        dv = dist[v]
+        if dv is None:
+            continue
+        for leaf, w in leaves:
+            dl = dist[leaf]
+            if dl is None or dl > dv + w:
+                origins.append(v)
+                break
+    return origins

@@ -17,6 +17,11 @@ DistanceVector = list  # list[int | None]
 
 BRUTE_FORCE_LIMIT = 12
 
+# verify runs brute force only where the product over the nodes of
+# (out-degree + 1) is at most this.  A simple path leaves each node by at
+# most one arc, so the product bounds the paths; complete-12 has 1.1e8.
+BRUTE_FORCE_PATHS = 10**6
+
 
 class TooLargeError(GraphError):
     def __init__(self, n: int):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lizardpath import RunMetrics, build_graph, cli, save_dimacs
+from lizardpath import GenSpec, GraphError, RunMetrics, build_graph, cli, save_dimacs
 from lizardpath.cli import (
     SUITES,
     build_parser,
@@ -16,6 +17,7 @@ from lizardpath.cli import (
     report_csv,
     run_suite,
 )
+from lizardpath.generators import FAMILIES
 from conftest import gen_layered_dag
 
 def fnv1a64(data: bytes) -> int:
@@ -112,6 +114,13 @@ class TestGen:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_family_choices_are_the_family_table(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        family = next(a for a in sub.choices["gen"]._actions if a.dest == "family")
+        assert family.choices == tuple(FAMILIES)
+        with pytest.raises(GraphError, match="^unknown family 'layered'$"):
+            GenSpec(family="layered")
+
     def test_random_arc_count(self, tmp_path, capsys):
         out = tmp_path / "r.gr"
         assert main(["gen", "--family", "random", "--n", "1000", "--m", "10", "-o", str(out)]) == 0
@@ -195,6 +204,13 @@ class TestSolve:
         assert main(["solve", "/nonexistent/x.gr"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_empty_input_fails_cleanly(self, tmp_path, capsys, command):
+        gr = tmp_path / "empty.gr"
+        gr.write_text("")
+        assert main([command, str(gr)]) == 1
+        assert capsys.readouterr().err == "error: input is empty\n"
+
     def test_bad_header_fails(self, tmp_path, capsys):
         gr = tmp_path / "bad.gr"
         gr.write_text("p sp 2 2\na 1 2 5\n")
@@ -261,6 +277,25 @@ class TestVerify:
         gr.write_text(TRIANGLE_GR)
         assert main(["verify", str(gr)]) == 0
         assert "brute force agrees" in capsys.readouterr().out
+
+    def test_brute_force_skipped_past_path_bound(self, tmp_path, capsys, monkeypatch):
+        # complete-12 has over 10**8 simple paths from a node; complete-7's
+        # bound 7**7 still admits brute force
+        gr = tmp_path / "k7.gr"
+        assert main(["gen", "--family", "complete", "--n", "7", "-o", str(gr)]) == 0
+        assert main(["verify", str(gr)]) == 0
+        assert "PASS brute force agrees" in capsys.readouterr().out
+
+        def refuse(g, source):
+            raise AssertionError("brute force ran")
+
+        monkeypatch.setattr(cli, "brute_force", refuse)
+        assert main(["gen", "--family", "complete", "--n", "12", "--seed", "1", "-o", str(gr)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(gr)]) == 0
+        assert capsys.readouterr().out == (
+            "PASS ca == dijkstra\nPASS bellman_ford == dijkstra\nPASS no shorter arms remain\n"
+        )
 
     def test_fault_injection_fails(self, tmp_path, capsys, monkeypatch):
         solve = cli.solve_sssp

@@ -19,8 +19,8 @@ from lizardpath import (
     SelfLoopError,
     build_graph,
     contest_run,
+    collect_origins,
     dijkstra,
-    find_shorter_arms,
     gen_complete,
     gen_grid,
     generate,
@@ -167,6 +167,14 @@ class TestDimacs:
         with pytest.raises(DimacsParseError):
             load_dimacs(io.StringIO("c nothing else\n"))
 
+    def test_empty_input_names_no_line(self):
+        with pytest.raises(GraphError, match="^input is empty$") as exc:
+            load_dimacs(io.StringIO(""))
+        assert not isinstance(exc.value, DimacsParseError)
+        # a blank line is a line read
+        with pytest.raises(DimacsParseError, match="^line 1: missing problem line$"):
+            load_dimacs(io.StringIO("\n"))
+
     def test_arc_before_problem_line(self):
         with pytest.raises(DimacsParseError):
             load_dimacs(io.StringIO("a 1 2 5\np sp 2 1\n"))
@@ -185,10 +193,13 @@ class TestDimacs:
 
     @pytest.mark.parametrize("field", ["1_0", "+1", "-1", "\u0661", "\u00b2", "0x1", "1.0"])
     def test_numbers_must_be_ascii_digits(self, field):
-        with pytest.raises(DimacsParseError, match="^line 2:"):
-            load_dimacs(io.StringIO(f"p sp 2 1\na 1 2 {field}\n"))
-        with pytest.raises(DimacsParseError, match="^line 1:"):
-            load_dimacs(io.StringIO(f"p sp {field} 0\n"))
+        arc, header = f"a 1 2 {field}", f"p sp {field} 0"
+        with pytest.raises(DimacsParseError,
+                           match=rf"^line 2: arc line fields must be ASCII digits: {re.escape(repr(arc))}$"):
+            load_dimacs(io.StringIO(f"p sp 2 1\n{arc}\n"))
+        with pytest.raises(DimacsParseError,
+                           match=rf"^line 1: problem line counts must be ASCII digits: {re.escape(repr(header))}$"):
+            load_dimacs(io.StringIO(f"{header}\n"))
 
     def test_node_count_cap(self, monkeypatch):
         monkeypatch.setattr(graph_module, "MAX_NODES", 3)
@@ -380,39 +391,42 @@ def labels_from_dist(n: int, dist: list) -> LabelState:
 
 
 class TestFindShorterArms:
+    """``collect_origins`` finds the roots of the shorter arms: the arcs
+    from a labeled node whose leaf is unlabeled or cheaper through it."""
+
     def test_exact_distances_have_none(self):
         g = gen_random_sparse(40, 0.2, seed=5)
         dist, _ = dijkstra(g, 0)
-        assert find_shorter_arms(g, labels_from_dist(g.n, dist)) == []
+        assert collect_origins(g, labels_from_dist(g.n, dist)) == []
 
     def test_overshoot_is_reported(self):
         g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
         labels = labels_from_dist(3, [0, 1, 5])
-        assert find_shorter_arms(g, labels) == [(1, 2)]
+        assert collect_origins(g, labels) == [1]
 
     def test_lone_labeled_source_without_arcs(self):
         g = build_graph(3, [(1, 2, 4)])
         labels = labels_from_dist(3, [0, None, None])
-        assert find_shorter_arms(g, labels) == []
+        assert collect_origins(g, labels) == []
 
     def test_arc_to_wild_leaf_counts(self):
         g = build_graph(2, [(0, 1, 3)])
         labels = labels_from_dist(2, [0, None])
-        assert find_shorter_arms(g, labels) == [(0, 1)]
+        assert collect_origins(g, labels) == [0]
 
     def test_labeled_node_with_region_zero_is_checked(self):
         # nodes 2 and 3 have labels no first pass gave them (region 0), as
         # wild leaves relabeled by the correction do; 2's arc to 3 violates
         g = build_graph(4, [(0, 1, 2), (1, 2, 3), (2, 3, 1)])
         labels = LabelState([None, 0, 1, 2], [0, 2, 5, 100])
-        assert find_shorter_arms(g, labels) == [(2, 3)]
+        assert collect_origins(g, labels) == [2]
 
     def test_correction_from_bare_source_certifies(self):
         g = build_graph(4, [(0, 1, 2), (1, 2, 3), (2, 3, 1)])
         labels, m = contest_run(g, LabelState.initial(4, 0), [0])
         assert m.anomalies == 3
         assert labels.dist == dijkstra(g, 0)[0] == [0, 2, 5, 6]
-        assert find_shorter_arms(g, labels) == []
+        assert collect_origins(g, labels) == []
 
 
 arc_lists = st.integers(2, 12).flatmap(
@@ -446,7 +460,7 @@ def test_no_shorter_arms_under_oracle_labels(data):
     n, raw = data
     g = build_graph(n, [(u, v, w) for u, v, w in raw if u != v])
     dist, _ = dijkstra(g, 0)
-    assert find_shorter_arms(g, labels_from_dist(n, dist)) == []
+    assert collect_origins(g, labels_from_dist(n, dist)) == []
 
 
 # few nodes and weights, so parallel arcs are common
