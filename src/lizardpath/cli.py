@@ -23,7 +23,8 @@ from .contest import RunMetrics, SolveOptions, solve_sssp
 from .generators import FAMILIES, GenSpec, generate
 from .graph import Graph, GraphError, load_dimacs, save_dimacs
 from .hdm import collect_origins, hdm_run
-from .oracle import BRUTE_FORCE_LIMIT, BRUTE_FORCE_PATHS, bellman_ford, brute_force, dijkstra
+from .oracle import BELLMAN_FORD_SCANS, BRUTE_FORCE_LIMIT, BRUTE_FORCE_PATHS
+from .oracle import bellman_ford, brute_force, dijkstra
 
 UNREACHABLE_SENTINEL = 0xFFFFFFFFFFFFFFFF
 
@@ -151,15 +152,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def verify_instance(g: Graph, source: int) -> tuple[bool, list[str]]:
     """Cross-check the pipeline against the oracles on one instance;
-    brute force joins in within BRUTE_FORCE_LIMIT and BRUTE_FORCE_PATHS."""
+    the costlier oracles join in within the bounds :mod:`oracle` sets."""
     labels, _ = solve_sssp(g, SolveOptions(source=source))
     dj, _ = dijkstra(g, source)
-    bf, _ = bellman_ford(g, source)
-    checks = [
-        ("ca == dijkstra", labels.dist == dj),
-        ("bellman_ford == dijkstra", bf == dj),
-        ("no shorter arms remain", not collect_origins(g, labels)),
-    ]
+    checks = [("ca == dijkstra", labels.dist == dj)]
+    if g.n * g.arc_count <= BELLMAN_FORD_SCANS:
+        checks.append(("bellman_ford == dijkstra", bellman_ford(g, source)[0] == dj))
+    checks.append(("no shorter arms remain", not collect_origins(g, labels)))
     if g.n <= BRUTE_FORCE_LIMIT and (
         math.prod(g.out_degree(v) + 1 for v in range(g.n)) <= BRUTE_FORCE_PATHS
     ):

@@ -195,7 +195,7 @@ def gen_complete(spec: GenSpec) -> Graph:
             # zip reads the leaves first, so it draws no weight past them
             yield list(zip(chain(range(v), range(v + 1, n)), weights))
 
-    return Graph._from_leaf_lists(n, leaf_lists())
+    return Graph(leaf_lists())
 
 
 def gen_random(spec: GenSpec) -> Graph:
@@ -222,7 +222,7 @@ def gen_random(spec: GenSpec) -> Graph:
                 leaves.append((leaf, weight()))
             yield leaves
 
-    return Graph._from_leaf_lists(n, leaf_lists())
+    return Graph(leaf_lists())
 
 
 def gen_grid(spec: GenSpec) -> Graph:
@@ -250,7 +250,7 @@ def gen_grid(spec: GenSpec) -> Graph:
                     leaves.append((v + 1, weight()))
                 yield leaves
 
-    return Graph._from_leaf_lists(rows * cols, leaf_lists())
+    return Graph(leaf_lists())
 
 
 # Each family's generator, under the name GenSpec and gen --family take.

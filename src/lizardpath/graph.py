@@ -10,18 +10,17 @@ Both validating constructors, :func:`build_graph` and
 to its root's leaf list; one assembly step then freezes the lists and
 min-merges parallel arcs on the nodes that have any.
 
-The builders (both constructors, and the trusted assembly the
-generators feed) pause the cyclic garbage collector while they
-allocate.  A build makes one (leaf, weight) tuple per arc and one list
-and one tuple per node, so a large one would otherwise set off
-thousands of collections, each scanning young objects that cannot form
-a cycle.  That is safe because the tuples, lists and ints a builder
-makes refer only to each other and to ints: they hold no cycle, so
-reference counting frees every temporary as before and a collection
-could find nothing among them.  Cyclic garbage made elsewhere during a
-build (by a caller's arc iterator, or another thread) waits for the
-first collection after it.  The collector's previous state is
-restored when the build returns or raises.
+Both constructors and :class:`Graph` itself, which the generators feed,
+pause the cyclic garbage collector while they allocate.  A build makes
+one (leaf, weight) tuple per arc and one list and one tuple per node, so
+a large one would otherwise set off thousands of collections, each
+scanning young objects that cannot form a cycle.  That is safe because
+the tuples, lists and ints a builder makes refer only to each other and
+to ints: they hold no cycle, so reference counting frees every temporary
+as before and a collection could find nothing among them.  Cyclic
+garbage made elsewhere during a build (by a caller's arc iterator, or
+another thread) waits for the first collection after it.  The
+collector's previous state is restored when the build returns or raises.
 """
 
 from __future__ import annotations
@@ -122,27 +121,21 @@ class HeaderMismatchError(GraphError):
 class Graph:
     """Immutable weighted digraph.
 
-    Built from its leaf lists alone: ``n`` is their number and
-    ``arc_count`` their total length, the number of stored arcs after
-    parallel-arc deduplication.  Safe to share across threads; nothing in
-    the solver stack ever mutates a built graph.  Graphs compare by value
-    and are unhashable.
+    Freezes any iterable of (leaf, weight) iterables into tuples and
+    validates nothing; :func:`build_graph` and :func:`load_dimacs` are
+    the validating constructors.  ``n`` is the number of leaf lists and
+    ``arc_count`` their total length.  Safe to share across threads;
+    nothing in the solver stack ever mutates a built graph.  Graphs
+    compare by value and are unhashable.
     """
 
     __slots__ = ("n", "arc_count", "_adj")
 
-    def __init__(self, adj: tuple[LeafList, ...]):
-        self.n = len(adj)
-        self._adj = adj
-        self.arc_count = sum(map(len, adj))
-
-    @classmethod
     @_gc_paused()
-    def _from_leaf_lists(cls, n: int, leaf_lists: Iterable[Iterable[tuple[int, int]]]) -> Graph:
-        """Trusted constructor for generators that build valid arcs directly."""
-        adj = tuple(tuple(leaves) for leaves in leaf_lists)
-        assert len(adj) == n
-        return cls(adj)
+    def __init__(self, leaf_lists: Iterable[Iterable[tuple[int, int]]]):
+        self._adj = adj = tuple(map(tuple, leaf_lists))
+        self.n = len(adj)
+        self.arc_count = sum(map(len, adj))
 
     def leaf_set(self, v: int) -> LeafList:
         """Ordered (leaf, weight) pairs of node v's out-arcs; () if none."""
@@ -210,7 +203,7 @@ def _assemble(lists: list[list[tuple[int, int]]]) -> Graph:
     a list that repeats a leaf is min-merged: each leaf keeps the
     position of its first arc and the least weight of all its arcs.
     """
-    return Graph(tuple(tuple(ll) if len(dict(ll)) == len(ll) else _min_merge(ll) for ll in lists))
+    return Graph(ll if len(dict(ll)) == len(ll) else _min_merge(ll) for ll in lists)
 
 
 def _min_merge(leaves: list[tuple[int, int]]) -> LeafList:

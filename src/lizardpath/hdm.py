@@ -10,9 +10,12 @@ empty, when every arc of the instance crosses exactly one layer forward.
 The pass keeps only the current and the next layer's node lists; the
 region ids are the one record of layer membership.
 
-:func:`collect_origins` rescans finished labels for the same roots: it
-is the harvest's reference and, after the correction, the certificate,
-since an empty list means every labeled distance is optimal.
+:func:`collect_origins` rescans finished labels for the same roots and
+is the harvest's reference.  An empty list proves that every reachable
+node is labeled and no label is above its true distance, not that none
+is below; every label the pipeline sets is ``dist[v] + w`` over a real
+arc from a labeled node, so none of its own is below, and for its
+output an empty list proves exactness.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ def collect_origins(g: Graph, labels: LabelState) -> list[int]:
     An arc (v, leaf) violates when v is labeled and the leaf is unlabeled
     or cheaper through v; only ``dist`` is read.  Each root is listed once,
     at its first violating arc.  After :func:`hdm_run` this equals the
-    pass's ``origins``; an empty list certifies every labeled distance.
+    pass's ``origins``.  An empty list proves every reachable node
+    labeled and no label too high (see the module docstring).
     """
     dist = labels.dist
     origins: list[int] = []

@@ -184,16 +184,10 @@ class LizardEntity:
         index = self._index
         if node in index:
             raise DuplicateNodeError(node)
+        up = None
         cur = self.bst_root
-        if cur is None:
-            item = LizardItem(node, key)
-            index[node] = item
-            self.bst_root = item
-            self.ara_min = item
-            self.counters.insert += 1
-            return
         visited = 0
-        while True:
+        while cur is not None:
             visited += 1
             ck = cur.key
             if key == ck:
@@ -203,22 +197,20 @@ class LizardEntity:
                 index[node] = cur
                 self.counters.insert += visited
                 return
-            if key < ck:
-                if cur.left is None:
-                    item = LizardItem(node, key)
-                    cur.left = item
-                    self._ara_link(cur.prev, item, cur)
-                    break
-                cur = cur.left
-            else:
-                if cur.right is None:
-                    item = LizardItem(node, key)
-                    cur.right = item
-                    self._ara_link(cur, item, cur.next)
-                    break
-                cur = cur.right
+            up = cur
+            cur = cur.left if key < ck else cur.right
+        item = LizardItem(node, key)
+        if up is None:
+            self.bst_root = item
+            self._ara_link(None, item, None)
+        elif key < up.key:
+            up.left = item
+            self._ara_link(up.prev, item, up)
+        else:
+            up.right = item
+            self._ara_link(up, item, up.next)
         index[node] = item
-        item.up = cur
+        item.up = up
         charge = visited + 1
         # the new leaf's depth is `visited`; rebuild when it exceeds
         # log_{3/2}(size), where the index already counts the new node
@@ -328,13 +320,7 @@ class LizardEntity:
         before.reverse()
         before += after
         up = goat.up
-        top = _pyramid(before, 0, goat_size, up)
-        if up is None:
-            self.bst_root = top
-        elif up.left is goat:
-            up.left = top
-        else:
-            up.right = top
+        self._transplant(up, goat, _pyramid(before, 0, goat_size, up))
         return 2 * goat_size - 1
 
     # -- link plumbing -----------------------------------------------
@@ -366,29 +352,31 @@ class LizardEntity:
         surgery runs first because it reads that successor link.
         """
         if item.left is None:
-            self._transplant(item, item.right)
+            self._transplant(item.up, item, item.right)
         elif item.right is None:
-            self._transplant(item, item.left)
+            self._transplant(item.up, item, item.left)
         else:
             succ = item.next  # in-order successor, inside item's right subtree
             if succ.up is not item:
-                self._transplant(succ, succ.right)
+                self._transplant(succ.up, succ, succ.right)
                 succ.right = item.right
                 succ.right.up = succ
-            self._transplant(item, succ)
+            self._transplant(item.up, item, succ)
             succ.left = item.left
             succ.left.up = succ
         self._ara_unlink(item)
 
-    def _transplant(self, old: LizardItem, new: LizardItem | None) -> None:
-        if old.up is None:
+    def _transplant(self, up: LizardItem | None, old: LizardItem, new: LizardItem | None) -> None:
+        """Hang subtree new where old hung below up (None: at the root).
+        The caller passes up: in a rebuild, _pyramid has rewritten old.up."""
+        if up is None:
             self.bst_root = new
-        elif old.up.left is old:
-            old.up.left = new
+        elif up.left is old:
+            up.left = new
         else:
-            old.up.right = new
+            up.right = new
         if new is not None:
-            new.up = old.up
+            new.up = up
 
 
 # _DEEPER_THAN_LOG[d] = ceil(1.5**d), so a leaf at depth d >= 1 is deeper

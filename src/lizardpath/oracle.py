@@ -22,6 +22,10 @@ BRUTE_FORCE_LIMIT = 12
 # most one arc, so the product bounds the paths; complete-12 has 1.1e8.
 BRUTE_FORCE_PATHS = 10**6
 
+# verify runs bellman_ford only where n * E, the most arc scans its at
+# most n rounds can take, is at most this: about 9 s at 90 ns a scan.
+BELLMAN_FORD_SCANS = 10**8
+
 
 class TooLargeError(GraphError):
     def __init__(self, n: int):

@@ -92,7 +92,7 @@ def gen_random_sparse(
                     leaves.append((v, rng.randint(w_min, w_max)))
             yield leaves
 
-    return Graph._from_leaf_lists(n, leaf_lists())
+    return Graph(leaf_lists())
 
 
 def agencies_in_order(le: LizardEntity) -> list[LizardItem]:

@@ -297,6 +297,30 @@ class TestVerify:
             "PASS ca == dijkstra\nPASS bellman_ford == dijkstra\nPASS no shorter arms remain\n"
         )
 
+    def test_bellman_ford_skipped_past_scan_bound(self, monkeypatch):
+        # a chain whose ids run against its arcs takes n rounds of
+        # Bellman-Ford; at 10 001 nodes n * E is just over 10**8
+        def refuse(g, source):
+            raise AssertionError("bellman_ford ran")
+
+        monkeypatch.setattr(cli, "bellman_ford", refuse)
+        n = 10_001
+        g = build_graph(n, [(v + 1, v, 1) for v in range(n - 1)])
+        assert n * g.arc_count > cli.BELLMAN_FORD_SCANS
+        assert cli.verify_instance(g, n - 1) == (
+            True, ["PASS ca == dijkstra", "PASS no shorter arms remain"],
+        )
+
+    def test_bellman_ford_kept_within_scan_bound(self):
+        # n * E = 99 990 000; in id order the forward chain converges in
+        # two rounds
+        n = 10_000
+        g = build_graph(n, [(v, v + 1, 1) for v in range(n - 1)])
+        assert cli.verify_instance(g, 0) == (
+            True,
+            ["PASS ca == dijkstra", "PASS bellman_ford == dijkstra", "PASS no shorter arms remain"],
+        )
+
     def test_fault_injection_fails(self, tmp_path, capsys, monkeypatch):
         solve = cli.solve_sssp
 

@@ -369,8 +369,8 @@ class TestGcPause:
         (lambda: load_dimacs(io.StringIO("p sp 3 3\na 1 2 5\na 2 x 7\na 3 1 1\n")), DimacsParseError),
         (lambda: build_graph(3, [(0, 1, 5), (1, 2, 7)]), None),
         (lambda: build_graph(3, [(0, 1, 5), (1, 3, 7)]), NodeOutOfRangeError),
-        (lambda: Graph._from_leaf_lists(2, iter([[(1, 4)], []])), None),
-        (lambda: Graph._from_leaf_lists(2, raising_leaf_lists()), GraphError),
+        (lambda: Graph(iter([[(1, 4)], []])), None),
+        (lambda: Graph(raising_leaf_lists()), GraphError),
     ])
     def test_collector_state_is_restored(self, enabled, build, error):
         before = gc.isenabled()
@@ -384,6 +384,13 @@ class TestGcPause:
             assert gc.isenabled() is enabled
         finally:
             gc.enable() if before else gc.disable()
+
+
+def test_graph_freezes_leaf_lists_into_tuples():
+    g = Graph([(leaf, 2 * leaf)] for leaf in (1, 2, 0))
+    assert (g.n, g.arc_count) == (3, 3)
+    assert g._adj == (((1, 2),), ((2, 4),), ((0, 0),))  # tuples, not lists
+    assert g == build_graph(3, [(0, 1, 2), (1, 2, 4), (2, 0, 0)])
 
 
 def labels_from_dist(n: int, dist: list) -> LabelState:

@@ -101,6 +101,34 @@ class TestInsert:
         le.insert(2, 50)  # visits root, equal key: charge 1
         assert le.counters.insert - before == 1
 
+    @pytest.mark.parametrize("keys, side, top", [
+        ([0, 1, 2, 3, 4], "right", 3),
+        ([4, 0, 1, 2, 3], "left", 2),
+    ])
+    def test_rebuild_splices_scapegoat_below_its_parent(self, keys, side, top):
+        # the last key lands at depth 4 of 5 items, deeper than log_{3/2} 5;
+        # the scapegoat is the 4-item chain under the first key, on `side`
+        le = LizardEntity()
+        for node, key in enumerate(keys):
+            le.insert(node, key)
+            assert verify_structure(le) is None
+        # 1 + 2 + 3 + 4 for the chain, then 5 for the path and 7 to rebuild
+        assert le.counters.insert == 22
+        assert getattr(le.bst_root, side).key == top
+        assert le.bst_root.key == keys[0]
+
+    def test_rebuild_splices_scapegoat_at_the_root(self):
+        # insert never picks the root: below a root scapegoat every subtree
+        # on the path grows by 3/2, so the tree holds more than 1.5**depth
+        # items and the leaf is not too deep; rebuild the chain directly
+        le = LizardEntity()
+        for key in range(4):
+            le.insert(key, key)
+        assert le.counters.insert == 10
+        assert le._rebuild_scapegoat(le._index[3]) == 7
+        assert le.bst_root.key == 2
+        assert verify_structure(le) is None
+
 
 class TestDelete:
     def test_sole_item_leaves_empty_structure(self):
