@@ -25,6 +25,12 @@ subtrees on the way and collects the scapegoat's run, by stepping the
 ARA outward.  Deletion never rebalances, so the height stays within
 log_{3/2} of the largest size the structure has reached.
 
+One end item, keyed above every key and holding no node, closes both
+systems, as ``T.nil`` does in Cormen et al., *Introduction to
+Algorithms* (10.2, 13.1): the BST root is its left child, and it follows
+the largest agency in the ARA.  So every agency has a parent and a
+successor, and neither the tree's top nor the list's end is a case.
+
 Every operation charges an instrumented cost (the number of structure
 nodes it touches), accumulated in :class:`CostCounters`.  Membership via
 ``node in le`` is plain bookkeeping and charges nothing.
@@ -32,6 +38,7 @@ nodes it touches), accumulated in :class:`CostCounters`.  Membership via
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -97,7 +104,7 @@ class LizardItem:
 
     __slots__ = ("node", "key", "cousins", "left", "right", "up", "prev", "next")
 
-    def __init__(self, node: int, key: int):
+    def __init__(self, node: int | None, key: int | float):
         self.node = node
         self.key = key
         self.cousins: OrderedDict[int, None] | None = None
@@ -114,11 +121,11 @@ class LizardItem:
 class LizardEntity:
     """The assembled priority structure with instrumented costs."""
 
-    __slots__ = ("bst_root", "ara_min", "counters", "_index")
+    __slots__ = ("ara_min", "counters", "_end", "_index")
 
     def __init__(self):
-        self.bst_root: LizardItem | None = None
-        self.ara_min: LizardItem | None = None
+        self._end = LizardItem(None, math.inf)  # root is _end.left; the ARA ends at _end
+        self.ara_min = self._end
         self.counters = CostCounters()
         self._index: dict[int, LizardItem] = {}  # every stored node -> its key's agency
 
@@ -146,6 +153,7 @@ class LizardEntity:
         if k == 0:
             return le
         index = le._index
+        end = le._end
         ordered = sorted(items, key=lambda t: t[1])
         agencies: list[LizardItem] = []
         item = None
@@ -159,14 +167,9 @@ class LizardEntity:
             else:
                 item = LizardItem(node, key)
                 agencies.append(item)
+                le._ara_link(end.prev, item, end)
             index[node] = item
-        prev = agencies[0]
-        for item in agencies[1:]:
-            prev.next = item
-            item.prev = prev
-            prev = item
-        le.ara_min = agencies[0]
-        le.bst_root = _pyramid(agencies, 0, len(agencies), None)
+        end.left = _pyramid(agencies, 0, len(agencies), end)
         le.counters.build += k * (k - 1).bit_length() + k
         return le
 
@@ -184,8 +187,8 @@ class LizardEntity:
         index = self._index
         if node in index:
             raise DuplicateNodeError(node)
-        up = None
-        cur = self.bst_root
+        up = self._end
+        cur = up.left
         visited = 0
         while cur is not None:
             visited += 1
@@ -200,10 +203,7 @@ class LizardEntity:
             up = cur
             cur = cur.left if key < ck else cur.right
         item = LizardItem(node, key)
-        if up is None:
-            self.bst_root = item
-            self._ara_link(None, item, None)
-        elif key < up.key:
+        if key < up.key:
             up.left = item
             self._ara_link(up.prev, item, up)
         else:
@@ -244,28 +244,24 @@ class LizardEntity:
         """Remove and return every node holding the minimum key.
 
         The minimum agency has no left child, so it leaves the BST by
-        handing its right subtree to its parent's left link (or to the
-        root), and the ARA head moves one step along ``next``.  Charge 2
-        per item, each counted as a deletion, and one batch;
+        handing its right subtree to its parent's left link, and the ARA
+        head moves one step along ``next``.  Charge 2 per item, each
+        counted as a deletion, and one batch;
         :meth:`CostCounters.as_cut_agency` gives the per-batch charging.
         """
         agency = self.ara_min
-        if agency is None:
+        if agency is self._end:
             raise EmptyStructureError()
         nodes = [agency.node, *(agency.cousins or ())]
         kbatch = len(nodes)
         up = agency.up
         right = agency.right
-        if up is None:
-            self.bst_root = right
-        else:
-            up.left = right
+        up.left = right
         if right is not None:
             right.up = up
         after = agency.next
         self.ara_min = after
-        if after is not None:
-            after.prev = None
+        after.prev = None
         index = self._index
         for n in nodes:
             del index[n]
@@ -325,24 +321,16 @@ class LizardEntity:
 
     # -- link plumbing -----------------------------------------------
 
-    def _ara_link(self, prev: LizardItem | None, item: LizardItem, nxt: LizardItem | None) -> None:
-        """Splice item into the ARA between two neighbours (None at an end)."""
+    def _ara_link(self, prev: LizardItem | None, item: LizardItem, nxt: LizardItem) -> None:
+        """Splice item into the ARA between prev (None: item becomes the
+        minimum) and nxt (the end item: item becomes the largest)."""
         item.prev = prev
         item.next = nxt
         if prev is None:
             self.ara_min = item
         else:
             prev.next = item
-        if nxt is not None:
-            nxt.prev = item
-
-    def _ara_unlink(self, item: LizardItem) -> None:
-        if item.prev is None:
-            self.ara_min = item.next
-        else:
-            item.prev.next = item.next
-        if item.next is not None:
-            item.next.prev = item.prev
+        nxt.prev = item
 
     def _excise_agency(self, item: LizardItem) -> None:
         """Remove a cousin-free agency from both BST and ARA.
@@ -364,14 +352,18 @@ class LizardEntity:
             self._transplant(item.up, item, succ)
             succ.left = item.left
             succ.left.up = succ
-        self._ara_unlink(item)
+        prev, nxt = item.prev, item.next
+        if prev is None:
+            self.ara_min = nxt
+        else:
+            prev.next = nxt
+        nxt.prev = prev
 
-    def _transplant(self, up: LizardItem | None, old: LizardItem, new: LizardItem | None) -> None:
-        """Hang subtree new where old hung below up (None: at the root).
-        The caller passes up: in a rebuild, _pyramid has rewritten old.up."""
-        if up is None:
-            self.bst_root = new
-        elif up.left is old:
+    def _transplant(self, up: LizardItem, old: LizardItem, new: LizardItem | None) -> None:
+        """Hang subtree new where old hung below up, the end item when old
+        is the root.  The caller passes up: in a rebuild, _pyramid has
+        rewritten old.up."""
+        if up.left is old:
             up.left = new
         else:
             up.right = new
@@ -385,7 +377,7 @@ class LizardEntity:
 _DEEPER_THAN_LOG = [(3**d + 2**d - 1) // 2**d for d in range(128)]
 
 
-def _pyramid(agencies: list[LizardItem], lo: int, hi: int, up: LizardItem | None) -> LizardItem:
+def _pyramid(agencies: list[LizardItem], lo: int, hi: int, up: LizardItem) -> LizardItem:
     """Balanced BST over the non-empty agencies[lo:hi] by recursive
     midpoint; recurses only into non-empty halves."""
     mid = (lo + hi) // 2

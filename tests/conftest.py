@@ -96,26 +96,39 @@ def gen_random_sparse(
 
 
 def agencies_in_order(le: LizardEntity) -> list[LizardItem]:
-    """In-order BST traversal (iterative)."""
+    """In-order BST traversal (iterative).
+
+    Every agency holds an indexed node, so a sound tree has at most
+    ``len(le._index)`` agencies.  The walk stops once it has reached one
+    more and returns every agency reached, so a cyclic tree gives a list
+    longer than the index instead of a hang.
+    """
     out: list[LizardItem] = []
     stack: list[LizardItem] = []
-    cur = le.bst_root
-    while cur is not None or stack:
-        while cur is not None:
+    cur = le._end.left
+    bound = len(le._index)
+    while (cur is not None or stack) and len(out) + len(stack) <= bound:
+        if cur is not None:
             stack.append(cur)
             cur = cur.left
-        cur = stack.pop()
-        out.append(cur)
-        cur = cur.right
-    return out
+        else:
+            cur = stack.pop()
+            out.append(cur)
+            cur = cur.right
+    return out + stack  # the stack is empty unless the bound stopped the walk
 
 
 def bst_height(le: LizardEntity) -> int:
+    """Agencies on the longest root-to-leaf path.  Like
+    :func:`agencies_in_order`, the walk stops after one agency more than
+    the index holds, and a cyclic tree then reads that tall."""
+    bound = len(le._index)
     height = 0
-    stack: list[tuple[LizardItem, int]] = []
-    if le.bst_root is not None:
-        stack.append((le.bst_root, 1))
-    while stack:
+    root = le._end.left
+    stack = [(root, 1)] if root is not None else []
+    for _ in range(bound + 1):
+        if not stack:
+            return height
         item, depth = stack.pop()
         if depth > height:
             height = depth
@@ -123,7 +136,7 @@ def bst_height(le: LizardEntity) -> int:
             stack.append((item.left, depth + 1))
         if item.right is not None:
             stack.append((item.right, depth + 1))
-    return height
+    return bound + 1
 
 
 def run_lizard_fuzz(op_count: int, seed: int, check_every_op: bool = True) -> dict:
@@ -209,18 +222,28 @@ def verify_structure(le: LizardEntity) -> str | None:
     Returns None when the structure is sound.  Cost is linear in the
     item count and nothing is charged.
     """
+    end = le._end
+    if end.right is not None or end.up is not None:
+        return "end item has a right child or a parent"
+    if end.cousins is not None:
+        return "end item holds cousins"
+    if any(item is end for item in le._index.values()):
+        return "end item is indexed"
     if le.size == 0:
-        if le.bst_root is not None or le.ara_min is not None:
+        if end.left is not None or le.ara_min is not end or end.prev is not None:
             return "empty structure retains dangling entry pointers"
         if le._index:
             return "empty structure retains index entries"
         return None
-    if le.bst_root is None or le.ara_min is None:
+    root = end.left
+    if root is None or le.ara_min is end:
         return "nonempty structure lost an entry pointer"
-    if le.bst_root.up is not None:
-        return "root has a parent link"
+    if root.up is not end:
+        return "root's parent link is not the end item"
 
     in_order = agencies_in_order(le)
+    if len(in_order) > le.size:
+        return "BST walk reached more agencies than stored nodes (cycle?)"
     for item in in_order:
         if item.left is not None and item.left.up is not item:
             return f"left child of {item!r} has a bad parent link"
@@ -230,12 +253,15 @@ def verify_structure(le: LizardEntity) -> str | None:
         if a.key >= b.key:
             return f"BST order violated: {a.key} before {b.key}"
 
-    # ARA must thread exactly the in-order agency sequence
+    # ARA must thread exactly the in-order agency sequence up to the end
+    # item; the last backlink checked is end.prev, the largest agency
     chain: list[LizardItem] = []
     item = le.ara_min
     if item.prev is not None:
         return "ara_min has a predecessor"
-    while item is not None:
+    while item is not end:
+        if item is None:
+            return "ARA chain stops before the end item"
         chain.append(item)
         if len(chain) > le.size:
             return "ARA chain longer than item count (cycle?)"

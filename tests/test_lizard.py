@@ -19,7 +19,7 @@ from conftest import agencies_in_order, bst_height, run_lizard_fuzz, verify_stru
 def ara_keys(le: LizardEntity) -> list[int]:
     keys = []
     item = le.ara_min
-    while item is not None:
+    while item is not le._end:
         keys.append(item.key)
         item = item.next
     return keys
@@ -29,7 +29,7 @@ class TestBuild:
     def test_empty(self):
         le = LizardEntity.build([])
         assert le.size == 0
-        assert le.bst_root is None
+        assert le._end.left is None and le.ara_min is le._end
         assert verify_structure(le) is None
 
     def test_equal_keys_group_behind_first_occurrence(self):
@@ -66,8 +66,8 @@ class TestInsert:
     def test_into_empty_becomes_root(self):
         le = LizardEntity()
         le.insert(7, 40)
-        assert le.bst_root is le.ara_min
-        assert le.bst_root.node == 7
+        assert le._end.left is le.ara_min
+        assert le.ara_min.node == 7 and le.ara_min.next is le._end
         assert le.counters.insert == 1
         assert verify_structure(le) is None
 
@@ -114,8 +114,8 @@ class TestInsert:
             assert verify_structure(le) is None
         # 1 + 2 + 3 + 4 for the chain, then 5 for the path and 7 to rebuild
         assert le.counters.insert == 22
-        assert getattr(le.bst_root, side).key == top
-        assert le.bst_root.key == keys[0]
+        assert getattr(le._end.left, side).key == top
+        assert le._end.left.key == keys[0]
 
     def test_rebuild_splices_scapegoat_at_the_root(self):
         # insert never picks the root: below a root scapegoat every subtree
@@ -126,7 +126,7 @@ class TestInsert:
             le.insert(key, key)
         assert le.counters.insert == 10
         assert le._rebuild_scapegoat(le._index[3]) == 7
-        assert le.bst_root.key == 2
+        assert le._end.left.key == 2
         assert verify_structure(le) is None
 
 
@@ -135,7 +135,7 @@ class TestDelete:
         le = LizardEntity.build([(0, 5)])
         le.delete(0)
         assert le.size == 0
-        assert le.bst_root is None and le.ara_min is None
+        assert le._end.left is None and le.ara_min is le._end
         assert verify_structure(le) is None
 
     def test_agency_promotion_keeps_shape(self):
@@ -181,7 +181,7 @@ class TestDelete:
 
     def test_root_with_two_children_preserves_order(self):
         le = LizardEntity.build([(i, k) for i, k in enumerate([10, 20, 30, 40, 50])])
-        root = le.bst_root
+        root = le._end.left
         assert root.left is not None and root.right is not None
         le.delete(root.node)
         assert ara_keys(le) == [k for k in [10, 20, 30, 40, 50] if k != root.key]
@@ -281,7 +281,7 @@ class TestVerifyStructure:
 
     def test_detects_bad_parent_pointer(self):
         le = LizardEntity.build([(0, 1), (1, 2), (2, 3)])
-        node = le.bst_root.left
+        node = le._end.left.left
         node.up = node
         assert verify_structure(le) is not None
 
@@ -293,6 +293,28 @@ class TestVerifyStructure:
     def test_detects_node_stored_twice(self):
         le = LizardEntity.build([(0, 1), (1, 1), (2, 3)])
         le._index[2].cousins = {1: None}
+        assert verify_structure(le) is not None
+
+    def test_detects_cyclic_tree(self):
+        # an unbounded walk would loop here forever
+        le = LizardEntity.build([(0, 1), (1, 2), (2, 3)])
+        root = le._end.left
+        root.left.left = root
+        assert verify_structure(le) is not None
+        assert bst_height(le) > le.size
+
+    @pytest.mark.parametrize("size", [0, 3])
+    @pytest.mark.parametrize("corrupt", [
+        lambda le: setattr(le._end, "right", LizardItem(9, 9)),
+        lambda le: setattr(le._end, "up", LizardItem(9, 9)),
+        lambda le: setattr(le._end, "cousins", {9: None}),
+        lambda le: le._index.__setitem__(9, le._end),
+        lambda le: setattr(le._end, "prev", LizardItem(9, 9)),
+    ], ids=["right", "up", "cousins", "indexed", "prev"])
+    def test_detects_broken_end_item(self, size, corrupt):
+        le = LizardEntity.build([(i, i) for i in range(size)])
+        assert verify_structure(le) is None
+        corrupt(le)
         assert verify_structure(le) is not None
 
 
@@ -384,10 +406,7 @@ class CheckedLizardEntity(LizardEntity):
         top = midpoint_links(run, 0, len(run), up, links)
         got = super()._rebuild_scapegoat(leaf)
         assert got == charge == 2 * len(run) - 1
-        if up is None:
-            assert self.bst_root is top
-        else:
-            assert top in (up.left, up.right)
+        assert top in (up.left, up.right)  # up is the end item at the root
         assert {item: (item.up, item.left, item.right) for item in run} == links
         assert verify_structure(self) is None
         self.rebuilds += 1
