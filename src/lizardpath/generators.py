@@ -86,18 +86,17 @@ def _span_limit(lo: int, hi: int) -> tuple[int, int]:
 class SplitMix64:
     """splitmix64 PRNG (Steele, Lea & Flood's published constants).
 
-    ``next_u64``, ``randint``, ``below`` and the iterators of ``ints``
-    all read one stream, and none reads a value ahead of its own draw,
-    so any interleaving of them consumes the stream in the scalar order.
+    ``randint``, ``below`` and the iterators of ``ints`` all read one
+    stream, and none reads a value ahead of its own draw, so any
+    interleaving of them consumes the stream in the scalar order.  The
+    iterators of ``ints(0, 2**64 - 1)`` yield the raw stream: with a
+    span of 2**64 no value is rejected and none is changed.
     """
 
     __slots__ = ("_raw",)
 
     def __init__(self, seed: int):
         self._raw = chain.from_iterable(map(_block, count(seed & _MASK64, _BLOCK * _GAMMA)))
-
-    def next_u64(self) -> int:
-        return next(self._raw)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], unbiased via rejection."""

@@ -49,11 +49,15 @@ _BLOCK_CHARS = 65536
 # Longer runs convert no faster, and their token lists raise peak memory.
 _RUN_LINES = 512
 
-# A run of arc lines as save_dimacs writes them: ids from 1 and weights
-# with no leading zero, ten digits at most, so every number of a match is
-# a JSON integer that int() would read the same.
-_ARC_RUN = re.compile(
-    rf"(?:a [1-9][0-9]{{0,9}} [1-9][0-9]{{0,9}} (?:0|[1-9][0-9]{{0,9}})\n){{1,{_RUN_LINES}}}"
+# The pieces load_dimacs cuts a block into: a run of arc lines as
+# save_dimacs writes them, marked by the empty group after it, or else one
+# line.  A run's ids start at 1 and its weights have no leading zero, ten
+# digits at most, so every number of a run is a JSON integer that int()
+# would read the same.  The group follows the repeat, so sre sets it once
+# per match instead of once per line.
+_PIECES = re.compile(
+    rf"(?:a [1-9][0-9]{{0,9}} [1-9][0-9]{{0,9}} (?:0|[1-9][0-9]{{0,9}})\n){{1,{_RUN_LINES}}}()"
+    r"|[^\n]*\n|[^\n]+"
 )
 
 LeafList = tuple[tuple[int, int], ...]
@@ -155,7 +159,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self._adj == other._adj
 
     def __repr__(self):
         return f"Graph(n={self.n}, arcs={self.arc_count})"
@@ -251,13 +255,14 @@ def load_dimacs(stream: TextIO) -> Graph:
     :class:`GraphError`, before any fault in the lines of the same block,
     and so does an empty one.
 
-    One pass over blocks of :data:`_BLOCK_CHARS` characters, each cut
-    after its last line end, so memory never holds the whole text.  The
-    header allocates one leaf list per node.  After it, every run of up
-    to :data:`_RUN_LINES` arc lines spelled as :func:`save_dimacs`
-    writes them is split and converted at once, and its arcs are checked
-    together; any other line is read on its own.  Either way each arc
-    is checked once (errors name the line and the ids as written) and
+    One pass over blocks of :data:`_BLOCK_CHARS` characters, each
+    finished with the rest of its last line, so memory never holds the
+    whole text.  One pattern, :data:`_PIECES`, cuts each block into runs
+    of up to :data:`_RUN_LINES` arc lines spelled as :func:`save_dimacs`
+    writes them and single lines.  A run is split and converted at once,
+    and its arcs are checked together; a line is read on its own, and
+    the header allocates one leaf list per node.  Either way each arc is
+    checked once (errors name the line and the ids as written) and
     appended to its root's list with 0-based ids.  ``m`` must equal the
     number of arc lines; parallel arcs are then min-merged as in
     :func:`build_graph`.
@@ -266,28 +271,15 @@ def load_dimacs(stream: TextIO) -> Graph:
     declared = -1
     lists: list[list[tuple[int, int]]] = []
     lineno = 0
-    pending: list[str] = []  # the unfinished line carried between blocks
     try:
-        while True:
-            block = stream.read(_BLOCK_CHARS)
-            cut = block.rfind("\n") + 1
-            if block and not cut:
-                pending.append(block)
-                continue
-            pending.append(block[:cut])
-            text = "".join(pending)
-            pending = [block[cut:]]
-            pos = 0
-            end = len(text)
-            while pos < end:
-                run = _ARC_RUN.match(text, pos) if n >= 0 else None
-                if run:
-                    lineno = _add_arc_run(run.group(), lists, n, lineno)
-                    pos = run.end()
+        while text := stream.read(_BLOCK_CHARS):
+            if text[-1] != "\n":
+                text += stream.readline()
+            for piece in _PIECES.finditer(text):
+                if piece.lastindex:
+                    lineno = _add_arc_run(piece.group(), lists, n, lineno)
                     continue
-                nl = text.find("\n", pos) + 1 or end
-                line = text[pos:nl]
-                pos = nl
+                line = piece.group()
                 lineno += 1
                 fields = line.split()
                 if not fields:
@@ -314,8 +306,6 @@ def load_dimacs(stream: TextIO) -> Graph:
                     lists = [[] for _ in range(n)]
                 else:
                     raise DimacsParseError(lineno, f"unknown line type {kind!r}")
-            if not block:
-                break
     except UnicodeDecodeError as exc:
         raise GraphError(f"input is not UTF-8 text: {exc.reason}") from None
     if n < 0:
@@ -329,8 +319,9 @@ def load_dimacs(stream: TextIO) -> Graph:
 
 
 def _add_arc_run(run: str, lists: list[list[tuple[int, int]]], n: int, lineno: int) -> int:
-    """Check and append the arcs of one :data:`_ARC_RUN` match, whose
-    first line follows line ``lineno``; return the number of its last line.
+    """Check and append the arcs of one run that :data:`_PIECES` cut,
+    whose first line follows line ``lineno``; return the number of its
+    last line.
 
     The run's numbers are converted by one ``json.loads`` call, which
     costs less than a ``split`` and an ``int`` per number, and the whole

@@ -82,13 +82,14 @@ def gen_random_sparse(
         raise GraphError(f"density {density} must be in (0, 1]")
     w_min, w_max = weight_range
     rng = SplitMix64(seed)
+    raw = rng.ints(0, 2**64 - 1)  # the raw stream: a span of 2**64 changes no value
     threshold = density * 2.0**64
 
     def leaf_lists():
         for u in range(n):
             leaves = []
             for v in range(n):
-                if v != u and rng.next_u64() < threshold:
+                if v != u and next(raw) < threshold:
                     leaves.append((v, rng.randint(w_min, w_max)))
             yield leaves
 

@@ -22,13 +22,13 @@ from conftest import gen_random_sparse, splitmix64_reference
 class TestSplitMix64:
     def test_published_stream_for_seed_zero(self):
         # first outputs of the reference implementation seeded with 0
-        rng = SplitMix64(0)
-        assert rng.next_u64() == 0xE220A8397B1DCDAF
-        assert rng.next_u64() == 0x6E789E6AA1B965F4
+        raw = SplitMix64(0).ints(0, 2**64 - 1)
+        assert next(raw) == 0xE220A8397B1DCDAF
+        assert next(raw) == 0x6E789E6AA1B965F4
 
     def test_stream_is_stable(self):
-        rng = SplitMix64(1)
-        assert [rng.next_u64() for _ in range(4)] == [
+        raw = SplitMix64(1).ints(0, 2**64 - 1)
+        assert [next(raw) for _ in range(4)] == [
             10451216379200822465,
             13757245211066428519,
             17911839290282890590,
@@ -54,7 +54,7 @@ class TestSplitMix64:
         rng = SplitMix64(5)
         with pytest.raises(ValueError, match=r"^range \[-?\d+, -?\d+\] must hold between 1 and 2\*\*64 integers$"):
             call(rng)
-        assert rng.next_u64() == next(splitmix64_reference(5))  # nothing drawn
+        assert next(rng.ints(0, 2**64 - 1)) == next(splitmix64_reference(5))  # nothing drawn
 
 
 def reference_randint(ref, lo: int, hi: int) -> int:
@@ -76,13 +76,13 @@ BOUNDS = st.integers(-(2**70), 2**70)
     seed=st.integers(-(2**80), 2**80),
     iterators=st.tuples(BOUNDS, SPANS, BOUNDS, SPANS),
     draws=st.lists(
-        st.tuples(st.sampled_from(["next_u64", "randint", "below", "ints_a", "ints_b"]),
+        st.tuples(st.sampled_from(["raw", "randint", "below", "ints_a", "ints_b"]),
                   BOUNDS, SPANS, st.integers(1, 700)),
         max_size=8,
     ),
 )
 @example(seed=-1, iterators=(0, 2**63 + 1, 7, 1), draws=[
-    ("next_u64", 0, 1, 1500), ("ints_a", 0, 1, 1200), ("randint", 0, 2**64, 10), ("ints_b", 0, 1, 5),
+    ("raw", 0, 1, 1500), ("ints_a", 0, 1, 1200), ("randint", 0, 2**64, 10), ("ints_b", 0, 1, 5),
 ])
 def test_block_stream_matches_scalar_reference(seed, iterators, draws):
     # every reading of the stream, interleaved in any order and running
@@ -92,10 +92,11 @@ def test_block_stream_matches_scalar_reference(seed, iterators, draws):
     ref = splitmix64_reference(seed)
     ints_a = rng.ints(lo_a, lo_a + span_a - 1)
     ints_b = rng.ints(lo_b, lo_b + span_b - 1)
+    raw = rng.ints(0, 2**64 - 1)  # a span of 2**64 rejects and changes no value
     for kind, lo, span, times in draws:
         for _ in range(times):
-            if kind == "next_u64":
-                assert rng.next_u64() == next(ref)
+            if kind == "raw":
+                assert next(raw) == next(ref)
             elif kind == "randint":
                 assert rng.randint(lo, lo + span - 1) == reference_randint(ref, lo, lo + span - 1)
             elif kind == "below":

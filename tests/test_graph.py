@@ -270,6 +270,15 @@ def arc_lines(count: int, bad: int, arc: str) -> str:
     return f"p sp 3 {count}\n" + "".join(line + "\n" for line in lines)
 
 
+# the stream types load_dimacs reads: a string, and a text wrapper over
+# bytes like the file the CLI opens, whose decoder sits between a
+# block's read(n) and the readline() that finishes it
+OPENERS = pytest.mark.parametrize("opened", [
+    io.StringIO,
+    lambda text: io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8"),
+], ids=["StringIO", "TextIOWrapper"])
+
+
 class TestArcRuns:
     """The arc lines save_dimacs writes are read a run at a time; the
     same text spelled off that form is read line by line, and both must
@@ -287,13 +296,17 @@ class TestArcRuns:
         assert load_outcome(text) == expected
         assert load_outcome(respelled(text)) == expected
 
-    def test_runs_across_blocks_load_the_same_graph(self, monkeypatch):
-        text = "c made by hand\n" + arc_lines(40, 9, "a 3 1 4294967295")[:-1]  # no final line end
-        expected = load_outcome(respelled(text))
-        assert expected == build_graph(3, [(0, 1, 5), (2, 0, MAX_WEIGHT)])
-        for block in (1, 5, 8, 64):
-            monkeypatch.setattr(graph_module, "_BLOCK_CHARS", block)
-            assert load_outcome(text) == expected
+    @OPENERS
+    def test_runs_across_blocks_load_the_same_graph(self, monkeypatch, opened):
+        arcs = arc_lines(40, 9, "a 3 1 4294967295")[:-1]  # no final line end
+        expected = build_graph(3, [(0, 1, 5), (2, 0, MAX_WEIGHT)])
+        # the second text's comment of 2-byte characters crosses the
+        # 16-character block edge
+        for text in ("c made by hand\n" + arcs, "c made by hand\nc " + "é" * 20 + "\n" + arcs):
+            assert load_outcome(respelled(text)) == expected
+            for block in (1, 5, 8, 16, 64):
+                monkeypatch.setattr(graph_module, "_BLOCK_CHARS", block)
+                assert load_dimacs(opened(text)) == expected
 
     def test_bad_arc_across_a_block_boundary(self, monkeypatch):
         monkeypatch.setattr(graph_module, "_BLOCK_CHARS", 64)
@@ -304,14 +317,15 @@ class TestArcRuns:
         assert start < 64 < start + 8
         assert load_outcome(text) == (DimacsParseError, "line 8: self-loop on node 2 is not allowed")
 
-    def test_lines_longer_than_a_block(self, monkeypatch):
+    @OPENERS
+    def test_lines_longer_than_a_block(self, monkeypatch, opened):
         monkeypatch.setattr(graph_module, "_BLOCK_CHARS", 16)
         text = ("c " + "x" * 100 + "\np sp 3 3\na 1 2 5\na 2 3 " + "0" * 40 + "7\n"
                 "a 3 1 1" + " " * 50)
-        g = load_dimacs(io.StringIO(text))
+        g = load_dimacs(opened(text))
         assert g == build_graph(3, [(0, 1, 5), (1, 2, 7), (2, 0, 1)])
         with pytest.raises(DimacsParseError, match=r"^line 4: node id 4 out of range \[1, 3\]$"):
-            load_dimacs(io.StringIO(text.replace("a 2 3 0", "a 4 3 0")))
+            load_dimacs(opened(text.replace("a 2 3 0", "a 4 3 0")))
 
 
 def collections_during(fn) -> int:
