@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 from .contest import RunMetrics, SolveOptions, solve_sssp
@@ -25,8 +24,6 @@ from .graph import Graph, GraphError, load_dimacs, save_dimacs
 from .hdm import collect_origins, hdm_run
 from .oracle import BELLMAN_FORD_SCANS, BRUTE_FORCE_LIMIT, BRUTE_FORCE_PATHS
 from .oracle import bellman_ford, brute_force, dijkstra
-
-UNREACHABLE_SENTINEL = 0xFFFFFFFFFFFFFFFF
 
 # --dump-dist lines joined into one write
 _DUMP_LINES = 4096
@@ -45,18 +42,35 @@ def checksum_dist(dist: list[int | None]) -> int:
     """64-bit FNV-1a over the distance vector, 8-byte little-endian words;
     unreachable entries hash as the all-ones sentinel.
 
-    Equal to byte-wise FNV-1a over the concatenated words; each word's
-    zero high bytes are folded into one multiply.
+    Equal to byte-wise FNV-1a over the concatenated words.  A word below
+    2**24, or the sentinel, is hashed by one expression: each word's zero
+    high bytes are folded into its last multiply, and the product is
+    masked to 64 bits once, since bits above 64 never reach the low 64
+    bits of a product or an XOR.
     """
+    p = _FNV_PRIME
+    p6, p7, p8 = _ZERO_RUN[6:]
     h = _FNV_OFFSET
     for d in dist:
         if d is None:
-            d = UNREACHABLE_SENTINEL
-        nbytes = (d.bit_length() + 7) >> 3
-        # to_bytes(8) still rejects values outside 0..2**64-1
-        for b in d.to_bytes(8, "little")[:nbytes]:
-            h = ((h ^ b) * _FNV_PRIME) & _MASK64
-        h = (h * _ZERO_RUN[8 - nbytes]) & _MASK64
+            # the sentinel 2**64 - 1: eight 0xFF bytes
+            h = (
+                ((((((((h ^ 255) * p ^ 255) * p ^ 255) * p ^ 255) * p
+                ^ 255) * p ^ 255) * p ^ 255) * p ^ 255) * p
+            ) & _MASK64
+        elif 0 <= d < 0x1000000:
+            if d < 0x100:
+                h = (h ^ d) * p8 & _MASK64
+            elif d < 0x10000:
+                h = ((h ^ d & 255) * p ^ d >> 8) * p7 & _MASK64
+            else:
+                h = (((h ^ d & 255) * p ^ d >> 8 & 255) * p ^ d >> 16) * p6 & _MASK64
+        else:
+            nbytes = (d.bit_length() + 7) >> 3
+            # to_bytes(8) still rejects values outside 0..2**64-1
+            for b in d.to_bytes(8, "little")[:nbytes]:
+                h = ((h ^ b) * p) & _MASK64
+            h = (h * _ZERO_RUN[8 - nbytes]) & _MASK64
     return h
 
 
@@ -272,6 +286,9 @@ def run_suite(suite: str, seed: int, jobs: int = 1) -> dict:
     tasks = [(name, kwargs, seed) for name, kwargs in SUITES[suite]]
     jobs = min(jobs, len(tasks))
     if jobs > 1:
+        # imported here, so a solve never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_bench_row_safe, tasks))
     else:

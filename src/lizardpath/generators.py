@@ -109,9 +109,16 @@ class SplitMix64:
         return self.randint(0, n - 1)
 
     def ints(self, lo: int, hi: int) -> Iterator[int]:
-        """An endless iterator of ``randint(lo, hi)`` draws."""
+        """An endless iterator of ``randint(lo, hi)`` draws.
+
+        When the range lies inside the graph module's shared weight
+        table, the draws are that table's int objects, so a generated
+        graph holds one object per weight value, as a loaded one does.
+        """
         span, limit = _span_limit(lo, hi)
-        return map(lo.__add__, map(span.__rmod__, filter(limit.__ge__, self._raw)))
+        shared = graph._SHARED_INTS
+        value = shared[lo : hi + 1].__getitem__ if 0 <= lo and hi < len(shared) else lo.__add__
+        return map(value, map(span.__rmod__, filter(limit.__ge__, self._raw)))
 
 
 @dataclass(frozen=True)

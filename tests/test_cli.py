@@ -1,8 +1,12 @@
 import argparse
+import concurrent.futures
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,7 +63,7 @@ class TestChecksum:
         [None],
         [0],
         [0, None, 0],
-        [1, 255, 256, 2**32, 2**56 - 1, 2**56, 2**64 - 2, None, 0],
+        [1, 255, 256, 65535, 65536, 2**24 - 1, 2**24, 2**32, 2**56 - 1, 2**56, 2**64 - 2, 2**64 - 1, None, 0],
         [(i * 0x9E3779B97F4A7C15) % 2**64 for i in range(200)] + [None, 0] * 10,
     ])
     def test_checksum_matches_bytewise_fnv1a(self, dist):
@@ -69,6 +73,10 @@ class TestChecksum:
     def test_checksum_rejects_values_beyond_64_bits(self):
         with pytest.raises(OverflowError):
             checksum_dist([2**64])
+
+    def test_checksum_rejects_negative_values(self):
+        with pytest.raises(OverflowError):
+            checksum_dist([-1])
 
 
 class TestGen:
@@ -423,7 +431,7 @@ class TestBench:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         report = run_suite("mini", seed=4, jobs=jobs)
         assert started == workers
         assert report["jobs"] == min(jobs, len(MINI_SUITE))
@@ -444,6 +452,16 @@ class TestBench:
             assert rs["table"]["Q_A"] == rp["table"]["Q_A"]
             assert rs["table"]["D"] == rp["table"]["D"]
             assert rs["runs"][0]["w_checksum"] == rp["runs"][0]["w_checksum"]
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """Only ``bench --jobs`` above 1 starts a pool, so importing the CLI
+    for a solve must not load multiprocessing."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, lizardpath.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_metrics_record_schema_for_plain_graph():
