@@ -24,8 +24,8 @@ collector's previous state is restored when the build returns or raises.
 
 Weights below 4096 are stored as one shared int object per value for the
 whole process, taken from the table ``_SHARED_INTS``:
-:func:`build_graph` (for weights of type ``int``), both arc paths of
-:func:`load_dimacs`, and the generators, whose weights come from
+:func:`build_graph`, both arc paths of :func:`load_dimacs`, and the
+generators, whose weights come from
 :meth:`~lizardpath.generators.SplitMix64.ints`.  Without it, every arc
 whose weight is above 256 (CPython caches the ints up to 256) holds an
 int object of its own, 32 bytes; with it, a loaded grid keeps about 108
@@ -44,7 +44,7 @@ import re
 from contextlib import contextmanager
 from itertools import repeat
 from operator import eq, itemgetter, sub
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 # Arc weights must fit an unsigned 32-bit integer; path totals are
 # accumulated in plain Python ints, so no sum can overflow.
@@ -168,12 +168,6 @@ class Graph:
     def out_degree(self, v: int) -> int:
         return len(self.leaf_set(v))
 
-    def arcs(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (src, dst, weight) in stored order."""
-        for v, leaves in enumerate(self._adj):
-            for leaf, w in leaves:
-                yield v, leaf, w
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -188,9 +182,10 @@ def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
     """Validate and assemble a graph from an (src, dst, weight) arc list.
 
     ``n`` may be at most :data:`MAX_NODES`, as in a DIMACS header.
-    Each arc is checked once and appended to its root's leaf list.  Of
-    an arc with several faults, the first in the order node range
-    (src, then dst), self-loop, negative weight, weight limit is raised.
+    Each arc is checked once and appended to its root's leaf list.  A
+    weight must be an ``int`` (not a ``bool``); of an arc with several
+    faults, the first in the order node range (src, then dst),
+    self-loop, weight type, negative weight, weight limit is raised.
     Parallel arcs collapse to the minimum weight, keeping the position
     of the first occurrence (see :func:`_assemble`).
     """
@@ -200,9 +195,9 @@ def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
         raise GraphError(f"node count {n} exceeds limit {MAX_NODES}")
     lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for src, dst, w in arcs:
-        if not (0 <= src < n and 0 <= dst < n and src != dst and 0 <= w <= MAX_WEIGHT):
+        if not (0 <= src < n and 0 <= dst < n and src != dst and type(w) is int and 0 <= w <= MAX_WEIGHT):
             raise _arc_error(src, dst, w, n)
-        lists[src].append((dst, _SHARED_INTS[w] if w < _SHARED_LEN and type(w) is int else w))
+        lists[src].append((dst, _SHARED_INTS[w] if w < _SHARED_LEN else w))
     return _assemble(lists)
 
 
@@ -213,6 +208,8 @@ def _arc_error(src: int, dst: int, w: int, n: int) -> GraphError:
             return NodeOutOfRangeError(node, n)
     if src == dst:
         return SelfLoopError(src)
+    if type(w) is not int:
+        return GraphError(f"arc ({src}, {dst}) weight {w!r} is not an int")
     if w < 0:
         return NegativeWeightError(src, dst, w)
     return WeightTooLargeError(src, dst, w)
@@ -307,9 +304,8 @@ def load_dimacs(stream: TextIO) -> Graph:
                     if len(fields) != 4:
                         raise DimacsParseError(lineno, f"malformed arc line: {line.strip()!r}")
                     u, v, w = _numbers(lineno, line, fields[1:], "arc line fields")
-                    # n is -1 until the problem line, so this also catches arcs before it
-                    if not (0 < u <= n and 0 < v <= n) or u == v or w > MAX_WEIGHT:
-                        raise DimacsParseError(lineno, _arc_fault(u, v, w, n))
+                    if fault := _arc_fault(u, v, w, n):
+                        raise DimacsParseError(lineno, fault)
                     lists[u - 1].append((v - 1, _SHARED_INTS[w] if w < _SHARED_LEN else w))
                 elif kind.startswith("c"):
                     continue
@@ -359,8 +355,8 @@ def _add_arc_run(run: str, lists: list[list[tuple[int, int]]], n: int, lineno: i
     # the pattern already keeps every id at 1 or more
     if max(us) > n or max(vs) > n or w_max > MAX_WEIGHT or any(map(eq, us, vs)):
         for i, (u, v, w) in enumerate(zip(us, vs, ws), start=lineno + 1):
-            if not (0 < u <= n and 0 < v <= n) or u == v or w > MAX_WEIGHT:
-                raise DimacsParseError(i, _arc_fault(u, v, w, n))
+            if fault := _arc_fault(u, v, w, n):
+                raise DimacsParseError(i, fault)
     if w_max < _SHARED_LEN:
         # itemgetter of one index returns the item, not a 1-tuple
         ws = itemgetter(*ws)(_SHARED_INTS) if len(ws) > 1 else (_SHARED_INTS[ws[0]],)
@@ -381,16 +377,19 @@ def _numbers(lineno: int, line: str, fields: list[str], what: str) -> list[int]:
         raise DimacsParseError(lineno, f"number of {max(map(len, fields))} digits is too long") from None
 
 
-def _arc_fault(u: int, v: int, w: int, n: int) -> str:
-    """Why DIMACS arc ``a u v w`` (ids as written) is rejected."""
+def _arc_fault(u: int, v: int, w: int, n: int) -> str | None:
+    """Why DIMACS arc ``a u v w`` (ids as written) is bad; None if good."""
     if n < 0:
         return "arc line before problem line"
-    for node in (u, v):
-        if not 1 <= node <= n:
-            return f"node id {node} out of range [1, {n}]"
+    # one test per id: a loop over (u, v) would cost every good line a tuple
+    if not 1 <= u <= n:
+        return f"node id {u} out of range [1, {n}]"
+    if not 1 <= v <= n:
+        return f"node id {v} out of range [1, {n}]"
     if u == v:
         return f"self-loop on node {u} is not allowed"
-    return f"weight {w} exceeds 32-bit limit {MAX_WEIGHT}"
+    if w > MAX_WEIGHT:
+        return f"weight {w} exceeds 32-bit limit {MAX_WEIGHT}"
 
 
 def save_dimacs(g: Graph, stream: TextIO) -> None:

@@ -96,6 +96,11 @@ def gen_random_sparse(
     return Graph(leaf_lists())
 
 
+def arc_list(g: Graph) -> list[tuple[int, int, int]]:
+    """Every (src, dst, weight) arc of ``g``, in stored order."""
+    return [(v, leaf, w) for v, leaves in enumerate(g._adj) for leaf, w in leaves]
+
+
 def agencies_in_order(le: LizardEntity) -> list[LizardItem]:
     """In-order BST traversal (iterative).
 

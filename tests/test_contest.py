@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lizardpath import (
     GenSpec,
@@ -21,7 +22,7 @@ from lizardpath import (
 )
 from lizardpath.cli import SUITES, checksum_dist
 from lizardpath.lizard import LizardEntity, LizardItem
-from conftest import gen_layered_dag, gen_random_sparse, make_chain
+from conftest import arc_list, gen_layered_dag, gen_random_sparse, make_chain
 
 
 def corpus(count, base=0):
@@ -206,6 +207,52 @@ class TestWildLeafHandling:
         labels, m = solve_sssp(g)
         assert labels.dist == [0]
         assert m.anomalies == 0
+
+
+# up to 12 nodes with weights 0..4, so zero-weight arcs, ties and parallel
+# arcs are common; (u, step) names the arc u -> (u + step) % n, never a loop
+small_graphs = st.integers(2, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.integers(0, 4)), max_size=36),
+    )
+)
+
+
+@given(small_graphs, st.data())
+@settings(max_examples=200, deadline=None)
+def test_contest_run_contract(case, data):
+    """contest_run apart from the first pass: labels that are real path
+    lengths, with every node collect_origins lists among the origins, end
+    at Dijkstra's distances with tight parents, each node reaped once at
+    most."""
+    n, raw = case
+    g = build_graph(n, [(u, (u + step) % n, w) for u, step, w in raw])
+    weight = {(u, v): w for u, v, w in arc_list(g)}
+    # a random spanning arborescence of the reachable set, labeled along
+    # its arcs, so every parent is tight
+    labels = LabelState.initial(n, 0)
+    dist, parent = labels.dist, labels.parent
+    while frontier := [(u, v) for (u, v) in weight if dist[u] is not None and dist[v] is None]:
+        u, v = data.draw(st.sampled_from(frontier))
+        dist[v] = dist[u] + weight[u, v]
+        parent[v] = u
+    labeled = [v for v in range(n) if dist[v] is not None]
+    origins = collect_origins(g, labels)
+    origins += [v for v in data.draw(st.lists(st.sampled_from(labeled), unique=True)) if v not in origins]
+
+    labels, m = contest_run(g, labels, origins)
+
+    dist, parent = labels.dist, labels.parent
+    assert dist == dijkstra(g, 0)[0]
+    assert parent[0] is None
+    for v in labeled[1:]:
+        assert dist[v] == dist[parent[v]] + weight[parent[v], v]
+        chain = [v]
+        while chain[-1] != 0 and len(chain) <= n:
+            chain.append(parent[chain[-1]])
+        assert chain[-1] == 0, f"parent chain from {v} does not reach the source: {chain}"
+    assert m.le_counters.getmin // 2 <= len(labeled)
 
 
 # Exact counters of solve_sssp from source 0 on desk-suite instances at

@@ -16,7 +16,7 @@ from lizardpath import (
 from lizardpath import generators as generators_module
 from lizardpath import graph as graph_module
 from lizardpath.cli import SUITES
-from conftest import gen_random_sparse, splitmix64_reference
+from conftest import arc_list, gen_random_sparse, splitmix64_reference
 
 
 class TestSplitMix64:
@@ -219,7 +219,7 @@ class TestComplete:
 class TestRandom:
     def test_two_nodes_degree_one(self):
         g = gen_random(GenSpec(family="random", n=2, m=1, seed=8))
-        assert sorted((u, v) for u, v, _ in g.arcs()) == [(0, 1), (1, 0)]
+        assert sorted((u, v) for u, v, _ in arc_list(g)) == [(0, 1), (1, 0)]
 
     def test_arc_count_is_n_times_m(self):
         g = gen_random(GenSpec(family="random", n=1000, m=10, seed=2))
@@ -251,7 +251,7 @@ class TestGrid:
     def test_path_grid(self):
         g = gen_grid(GenSpec(family="grid", rows=1, cols=3, seed=5))
         assert g.arc_count == 4
-        assert sorted((u, v) for u, v, _ in g.arcs()) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert sorted((u, v) for u, v, _ in arc_list(g)) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
     def test_arc_count_formula(self):
         for rows, cols in ((2, 2), (3, 5), (10, 10)):
@@ -283,7 +283,7 @@ class TestRandomSparse:
 
     def test_zero_weights_allowed(self):
         g = gen_random_sparse(40, 0.5, seed=2, weight_range=(0, 3))
-        weights = [w for _, _, w in g.arcs()]
+        weights = [w for _, _, w in arc_list(g)]
         assert min(weights) == 0
         assert max(weights) <= 3
 
@@ -302,7 +302,7 @@ def test_all_weights_within_range():
     ]
     for spec in specs:
         g = generate(spec)
-        weights = [w for _, _, w in g.arcs()]
+        weights = [w for _, _, w in arc_list(g)]
         assert min(weights) >= 3 and max(weights) <= 9
         assert len(set(weights)) == 7  # every value in range occurs
 

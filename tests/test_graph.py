@@ -31,7 +31,7 @@ from lizardpath import (
 from lizardpath import graph as graph_module
 from lizardpath.cli import SUITES
 from lizardpath.graph import _RUN_LINES, MAX_NODES, MAX_WEIGHT, WeightTooLargeError
-from conftest import gen_random_sparse
+from conftest import arc_list, gen_random_sparse
 
 
 class TestBuildGraph:
@@ -90,6 +90,12 @@ class TestBuildGraph:
         with pytest.raises(SelfLoopError):
             build_graph(2, [(1, 1, 3)])
 
+    @pytest.mark.parametrize("w", [5.5, 2.0, True, "5", None])
+    def test_weight_that_is_not_an_int_rejected(self, w):
+        # save_dimacs would write such a weight in a form load_dimacs rejects
+        with pytest.raises(GraphError, match=r"^arc \(0, 1\) weight .* is not an int$"):
+            build_graph(2, [(0, 1, w)])
+
     @pytest.mark.parametrize("arc, error, message", [
         ((5, 5, 1), NodeOutOfRangeError, "node id 5 out of range [0, 2)"),
         ((0, 7, -1), NodeOutOfRangeError, "node id 7 out of range [0, 2)"),
@@ -97,10 +103,13 @@ class TestBuildGraph:
         ((3, 0, MAX_WEIGHT + 1), NodeOutOfRangeError, "node id 3 out of range [0, 2)"),
         ((1, 1, -1), SelfLoopError, "self-loop on node 1 is not allowed"),
         ((1, 1, MAX_WEIGHT + 1), SelfLoopError, "self-loop on node 1 is not allowed"),
+        ((1, 1, 5.5), SelfLoopError, "self-loop on node 1 is not allowed"),
+        ((1, 0, -1.5), GraphError, "arc (1, 0) weight -1.5 is not an int"),
     ])
     def test_arc_with_several_faults_raises_the_first(self, arc, error, message):
-        # order: node range (src, then dst), self-loop, negative weight,
-        # weight limit; a valid arc before the faulty one changes nothing
+        # order: node range (src, then dst), self-loop, weight type,
+        # negative weight, weight limit; a valid arc before the faulty one
+        # changes nothing
         with pytest.raises(GraphError) as info:
             build_graph(2, [(0, 1, 1), arc])
         assert type(info.value) is error
@@ -369,7 +378,7 @@ class TestGcPause:
         buf = io.StringIO()
         save_dimacs(g, buf)
         text = buf.getvalue()
-        arcs = list(g.arcs())
+        arcs = arc_list(g)
         # unguarded, each of these runs thousands of collections; the few
         # left are set off by the objects made around the guarded body
         assert collections_during(lambda: load_dimacs(io.StringIO(text))) <= 20
@@ -423,7 +432,7 @@ class TestSharedWeights:
     @pytest.mark.parametrize("spelling", ["a {} {} {}", "a\t{} {} {}"], ids=["run", "line"])
     def test_equal_weights_of_a_loaded_grid_are_one_object(self, spelling):
         g = load_dimacs(io.StringIO(respelled(saved_text(generate(self.GRID)), spelling)))
-        weights = [w for _, _, w in g.arcs() if w > 256]  # CPython caches ints up to 256 anyway
+        weights = [w for _, _, w in arc_list(g) if w > 256]  # CPython caches ints up to 256 anyway
         assert len(weights) > len(set(weights))
         assert len(set(map(id, weights))) == len(set(weights))
 
@@ -431,9 +440,9 @@ class TestSharedWeights:
         g = generate(self.GRID)
         loaded = load_dimacs(io.StringIO(saved_text(g)))
         # int(str(w)) makes a new object of equal value
-        built = build_graph(g.n, [(u, v, int(str(w))) for u, v, w in g.arcs()])
+        built = build_graph(g.n, [(u, v, int(str(w))) for u, v, w in arc_list(g)])
         assert loaded == built == g
-        for (_, _, w), (_, _, lw), (_, _, bw) in zip(g.arcs(), loaded.arcs(), built.arcs()):
+        for (_, _, w), (_, _, lw), (_, _, bw) in zip(arc_list(g), arc_list(loaded), arc_list(built)):
             assert w is lw is bw
 
     @pytest.mark.parametrize("spelling", ["a {} {} {}", "a\t{} {} {}"], ids=["run", "line"])
@@ -441,16 +450,12 @@ class TestSharedWeights:
         arcs = [(1, 2, 4095), (1, 3, 4096), (2, 3, MAX_WEIGHT), (3, 1, 700)]
         text = "p sp 3 4\n" + "".join(spelling.format(*arc) + "\n" for arc in arcs)
         g = load_dimacs(io.StringIO(text))
-        assert list(g.arcs()) == [(u - 1, v - 1, w) for u, v, w in arcs]
+        assert arc_list(g) == [(u - 1, v - 1, w) for u, v, w in arcs]
         assert g == build_graph(3, [(u - 1, v - 1, w) for u, v, w in arcs])
 
     def test_one_arc_run_shares_its_weight(self):
         g = load_dimacs(io.StringIO("p sp 2 1\na 1 2 700\n"))
         assert g.leaf_set(0)[0][1] is graph_module._SHARED_INTS[700]
-
-    def test_build_graph_keeps_weights_that_are_not_ints(self):
-        g = build_graph(2, [(0, 1, True)])
-        assert g.leaf_set(0)[0][1] is True
 
     def test_loaded_grid_retains_fewer_bytes_per_arc(self):
         stream = io.StringIO(saved_text(generate(self.GRID)))
@@ -522,18 +527,43 @@ arc_lists = st.integers(2, 12).flatmap(
 )
 
 
-@given(arc_lists)
-@settings(max_examples=120, deadline=None)
-def test_round_trip_identity_property(data):
-    n, raw = data
-    arcs = [(u, v, w) for u, v, w in raw if u != v]
-    g = build_graph(n, arcs)
+# up to 12 nodes and 40 arcs, so isolated nodes and parallel arcs both
+# occur; weights include both bounds, and an optional last arc may have a
+# weight build_graph must reject
+round_trip_weights = st.one_of(st.integers(0, 30), st.sampled_from([0, MAX_WEIGHT]))
+odd_weights = st.one_of(
+    round_trip_weights,
+    st.sampled_from([-1, MAX_WEIGHT + 1, True, False, 2.0, 5.5, "5", None]),
+    st.floats(allow_nan=False),
+)
+round_trip_cases = st.integers(2, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.builds(
+                lambda u, step, w: (u, (u + step) % n, w),
+                st.integers(0, n - 1), st.integers(1, n - 1), round_trip_weights,
+            ),
+            max_size=40,
+        ),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), odd_weights), max_size=1),
+    )
+)
+
+
+@given(round_trip_cases)
+@settings(max_examples=200, deadline=None)
+def test_round_trip_identity_property(case):
+    """Every graph build_graph accepts saves and loads back equal."""
+    n, arcs, odd = case
+    try:
+        g = build_graph(n, arcs + odd)
+    except GraphError:
+        return
     buf = io.StringIO()
     save_dimacs(g, buf)
     buf.seek(0)
-    loaded = load_dimacs(buf)
-    assert loaded == g
-    assert loaded.arc_count == g.arc_count
+    assert load_dimacs(buf) == g
 
 
 @given(arc_lists)

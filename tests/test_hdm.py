@@ -12,7 +12,7 @@ from lizardpath import (
     gen_complete,
     hdm_run,
 )
-from conftest import gen_layered_dag, gen_out_tree, gen_random_sparse, make_chain
+from conftest import arc_list, gen_layered_dag, gen_out_tree, gen_random_sparse, make_chain
 
 
 def check_partition(g: Graph, out: HdmOutput, source: int) -> str | None:
@@ -38,7 +38,7 @@ def check_partition(g: Graph, out: HdmOutput, source: int) -> str | None:
         return "layer ids and distances disagree on which nodes are labeled"
     # feed arcs: some in-arc from the previous layer must exist
     feeds: list[set[int]] = [set() for _ in range(len(regions) + 2)]
-    for v, leaf, _ in g.arcs():
+    for v, leaf, _ in arc_list(g):
         rv = region[v]
         rl = region[leaf]
         if rv > 0 and rl == rv + 1:
@@ -110,7 +110,7 @@ class TestHdmRun:
         weight = {}
         for g in corpus(30, base=100):
             out = hdm_run(g, 0)
-            weight = {(u, v): w for u, v, w in g.arcs()}
+            weight = {(u, v): w for u, v, w in arc_list(g)}
             parent = out.labels.parent
             dist = out.labels.dist
             for v in range(g.n):
@@ -196,7 +196,7 @@ class TestCollectOrigins:
             out = hdm_run(g, 0)
             dist = out.labels.dist
             roots = sorted({
-                v for v, leaf, w in g.arcs()
+                v for v, leaf, w in arc_list(g)
                 if dist[v] is not None and (dist[leaf] is None or dist[leaf] > dist[v] + w)
             })
             assert collect_origins(g, out.labels) == roots
