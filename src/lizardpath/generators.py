@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, count
 
@@ -86,9 +86,9 @@ def _span_limit(lo: int, hi: int) -> tuple[int, int]:
 class SplitMix64:
     """splitmix64 PRNG (Steele, Lea & Flood's published constants).
 
-    ``randint``, ``below`` and the iterators of ``ints`` all read one
-    stream, and none reads a value ahead of its own draw, so any
-    interleaving of them consumes the stream in the scalar order.  The
+    ``randint``, ``below`` and the iterators of ``ints`` and ``_picks``
+    all read one stream, and none reads a value ahead of its own draw, so
+    any interleaving of them consumes the stream in the scalar order.  The
     iterators of ``ints(0, 2**64 - 1)`` yield the raw stream: with a
     span of 2**64 no value is rejected and none is changed.
     """
@@ -115,10 +115,18 @@ class SplitMix64:
         table, the draws are that table's int objects, so a generated
         graph holds one object per weight value, as a loaded one does.
         """
+        # checks the range before any slice of the table is taken
         span, limit = _span_limit(lo, hi)
         shared = graph._SHARED_INTS
-        value = shared[lo : hi + 1].__getitem__ if 0 <= lo and hi < len(shared) else lo.__add__
-        return map(value, map(span.__rmod__, filter(limit.__ge__, self._raw)))
+        if 0 <= lo and hi < len(shared):
+            return self._picks(shared[lo : hi + 1])
+        return map(lo.__add__, map(span.__rmod__, filter(limit.__ge__, self._raw)))
+
+    def _picks(self, table: Sequence[int]) -> Iterator[int]:
+        """An endless iterator of the items of ``table`` at
+        ``randint(0, len(table) - 1)`` draws."""
+        span, limit = _span_limit(0, len(table) - 1)
+        return map(table.__getitem__, map(span.__rmod__, filter(limit.__ge__, self._raw)))
 
 
 @dataclass(frozen=True)
@@ -195,11 +203,12 @@ def gen_complete(spec: GenSpec) -> Graph:
     """
     n = spec.n
     weights = SplitMix64(spec.seed).ints(*spec.weight_range)
+    ids = list(range(n))
 
     def leaf_lists():
         for v in range(n):
             # zip reads the leaves first, so it draws no weight past them
-            yield list(zip(chain(range(v), range(v + 1, n)), weights))
+            yield list(zip(chain(ids[:v], ids[v + 1 :]), weights))
 
     return Graph(leaf_lists())
 
@@ -213,7 +222,8 @@ def gen_random(spec: GenSpec) -> Graph:
     n = spec.n
     m = spec.effective_m()
     rng = SplitMix64(spec.seed)
-    node = rng.ints(0, n - 1).__next__
+    # ints(0, n - 1) draws, as objects of one id table
+    node = rng._picks(list(range(n))).__next__
     weight = rng.ints(*spec.weight_range).__next__
 
     def leaf_lists():
@@ -239,6 +249,7 @@ def gen_grid(spec: GenSpec) -> Graph:
     """
     rows, cols = spec.rows, spec.cols
     weight = SplitMix64(spec.seed).ints(*spec.weight_range).__next__
+    ids = list(range(rows * cols))
 
     def leaf_lists():
         for r in range(rows):
@@ -247,13 +258,13 @@ def gen_grid(spec: GenSpec) -> Graph:
                 v = base + c
                 leaves = []
                 if r > 0:
-                    leaves.append((v - cols, weight()))
+                    leaves.append((ids[v - cols], weight()))
                 if r < rows - 1:
-                    leaves.append((v + cols, weight()))
+                    leaves.append((ids[v + cols], weight()))
                 if c > 0:
-                    leaves.append((v - 1, weight()))
+                    leaves.append((ids[v - 1], weight()))
                 if c < cols - 1:
-                    leaves.append((v + 1, weight()))
+                    leaves.append((ids[v + 1], weight()))
                 yield leaves
 
     return Graph(leaf_lists())

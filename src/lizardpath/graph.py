@@ -26,14 +26,22 @@ Weights below 4096 are stored as one shared int object per value for the
 whole process, taken from the table ``_SHARED_INTS``:
 :func:`build_graph`, both arc paths of :func:`load_dimacs`, and the
 generators, whose weights come from
-:meth:`~lizardpath.generators.SplitMix64.ints`.  Without it, every arc
-whose weight is above 256 (CPython caches the ints up to 256) holds an
-int object of its own, 32 bytes; with it, a loaded grid keeps about 108
-bytes per arc instead of 129.  Sharing is safe because ints are
-immutable and no code tells equal weights apart by identity, so every
-value, comparison, saved file and counter is unchanged.  The table costs
-about 150 KB once, and covers the generators' default weights, 1..1000,
-with room to spare.
+:meth:`~lizardpath.generators.SplitMix64.ints`.  Leaf ids are shared the
+same way within one graph: every builder takes them from one table of
+id objects per build, which :func:`load_dimacs` grows to the largest
+leaf id it has read, so a graph holds one int object per node id, not
+one per arc.  Without the sharing, every arc whose weight or leaf id is
+above 256 (CPython caches the ints up to 256) holds an int object of its
+own, 32 bytes each; with it, a loaded grid-128² keeps about 84 bytes per
+arc instead of 129 (108 with the weights alone shared), random-50000
+69 and complete-500 64.  Sharing is safe because ints are immutable and
+no code tells equal values apart by identity, so every value,
+comparison, saved file and counter is unchanged.  Its one cost falls on
+the random family, whose leaves are scattered: the shared id objects
+sit far apart in memory, so touching their reference counts misses the
+cache, and a random-50000 load or generation takes a few percent longer.
+The weight table costs about 150 KB once, and covers the generators'
+default weights, 1..1000, with room to spare.
 """
 
 from __future__ import annotations
@@ -42,8 +50,7 @@ import gc
 import json
 import re
 from contextlib import contextmanager
-from itertools import repeat
-from operator import eq, itemgetter, sub
+from operator import eq, itemgetter
 from typing import Iterable, TextIO
 
 # Arc weights must fit an unsigned 32-bit integer; path totals are
@@ -182,10 +189,13 @@ def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
     """Validate and assemble a graph from an (src, dst, weight) arc list.
 
     ``n`` may be at most :data:`MAX_NODES`, as in a DIMACS header.
-    Each arc is checked once and appended to its root's leaf list.  A
-    weight must be an ``int`` (not a ``bool``); of an arc with several
-    faults, the first in the order node range (src, then dst),
-    self-loop, weight type, negative weight, weight limit is raised.
+    Each arc is checked once and appended to its root's leaf list, with
+    its leaf taken from one table of ``n`` id objects, so the graph
+    holds one int object per node id.  A node id must be an ``int``
+    (a ``bool`` reads as 0 or 1), and a weight an ``int`` but not a
+    ``bool``; of an arc with several faults, the first in the order id
+    type, node range (src, then dst), self-loop, weight type, negative
+    weight, weight limit is raised.
     Parallel arcs collapse to the minimum weight, keeping the position
     of the first occurrence (see :func:`_assemble`).
     """
@@ -194,15 +204,29 @@ def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
     if n > MAX_NODES:
         raise GraphError(f"node count {n} exceeds limit {MAX_NODES}")
     lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for src, dst, w in arcs:
-        if not (0 <= src < n and 0 <= dst < n and src != dst and type(w) is int and 0 <= w <= MAX_WEIGHT):
-            raise _arc_error(src, dst, w, n)
-        lists[src].append((dst, _SHARED_INTS[w] if w < _SHARED_LEN else w))
+    ids = list(range(n))
+    # int ids, so the handler tells a fault of the arcs iterable itself
+    # from one of an arc's ids
+    src = dst = 0
+    try:
+        for src, dst, w in arcs:
+            if not (0 <= src < n and 0 <= dst < n and src != dst and type(w) is int and 0 <= w <= MAX_WEIGHT):
+                raise _arc_error(src, dst, w, n)
+            lists[src].append((ids[dst], _SHARED_INTS[w] if w < _SHARED_LEN else w))
+    except TypeError:
+        # an id that is not an int fails where it indexes a list, or in
+        # the range test if it does not compare with ints
+        if isinstance(src, int) and isinstance(dst, int):
+            raise
+        raise _arc_error(src, dst, w, n) from None
     return _assemble(lists)
 
 
 def _arc_error(src: int, dst: int, w: int, n: int) -> GraphError:
     """The typed error :func:`build_graph` raises for a rejected arc."""
+    for node in (src, dst):
+        if not isinstance(node, int):
+            return GraphError(f"arc ({src!r}, {dst!r}) node id {node!r} is not an int")
     for node in (src, dst):
         if not 0 <= node < n:
             return NodeOutOfRangeError(node, n)
@@ -278,13 +302,16 @@ def load_dimacs(stream: TextIO) -> Graph:
     and its arcs are checked together; a line is read on its own, and
     the header allocates one leaf list per node.  Either way each arc is
     checked once (errors name the line and the ids as written) and
-    appended to its root's list with 0-based ids.  ``m`` must equal the
-    number of arc lines; parallel arcs are then min-merged as in
-    :func:`build_graph`.
+    appended to its root's list, its leaf the 0-based id object of one
+    table per load.  ``m`` must equal the number of arc lines; parallel
+    arcs are then min-merged as in :func:`build_graph`.
     """
     n = -1
     declared = -1
     lists: list[list[tuple[int, int]]] = []
+    # ids[v] is the one int object of 0-based leaf id v - 1; the table
+    # grows to the largest leaf id read, so a header alone costs nothing
+    ids = [-1]
     lineno = 0
     try:
         while text := stream.read(_BLOCK_CHARS):
@@ -292,7 +319,7 @@ def load_dimacs(stream: TextIO) -> Graph:
                 text += stream.readline()
             for piece in _PIECES.finditer(text):
                 if piece.lastindex:
-                    lineno = _add_arc_run(piece.group(), lists, n, lineno)
+                    lineno = _add_arc_run(piece.group(), lists, ids, n, lineno)
                     continue
                 line = piece.group()
                 lineno += 1
@@ -306,7 +333,9 @@ def load_dimacs(stream: TextIO) -> Graph:
                     u, v, w = _numbers(lineno, line, fields[1:], "arc line fields")
                     if fault := _arc_fault(u, v, w, n):
                         raise DimacsParseError(lineno, fault)
-                    lists[u - 1].append((v - 1, _SHARED_INTS[w] if w < _SHARED_LEN else w))
+                    if v >= len(ids):
+                        ids += range(len(ids) - 1, v)
+                    lists[u - 1].append((ids[v], _SHARED_INTS[w] if w < _SHARED_LEN else w))
                 elif kind.startswith("c"):
                     continue
                 elif kind == "p":
@@ -334,7 +363,9 @@ def load_dimacs(stream: TextIO) -> Graph:
     return _assemble(lists)
 
 
-def _add_arc_run(run: str, lists: list[list[tuple[int, int]]], n: int, lineno: int) -> int:
+def _add_arc_run(
+    run: str, lists: list[list[tuple[int, int]]], ids: list[int], n: int, lineno: int
+) -> int:
     """Check and append the arcs of one run that :data:`_PIECES` cut,
     whose first line follows line ``lineno``; return the number of its
     last line.
@@ -343,26 +374,36 @@ def _add_arc_run(run: str, lists: list[list[tuple[int, int]]], n: int, lineno: i
     costs less than a ``split`` and an ``int`` per number, and the whole
     run is checked at once; only a run that fails is scanned for its
     first bad arc, which raises the error the line on its own would.
-    A run whose weights all lie below the table's length takes its
-    weights from :data:`_SHARED_INTS` in one call.
+    The run's leaves come from the id table ``ids`` (``ids[v]`` is
+    ``v - 1``), grown first to the run's largest leaf id, and a run
+    whose weights all lie below the table's length takes its weights
+    from :data:`_SHARED_INTS`, each column in one call.
     """
     # "a 1 2 5\na 3 4 6\n" -> "[1,2,5,3,4,6]"
     nums = json.loads("[" + run[2:-1].replace("\na ", " ").replace(" ", ",") + "]")
     us = nums[0::3]
     vs = nums[1::3]
     ws = nums[2::3]
+    v_max = max(vs)
     w_max = max(ws)
     # the pattern already keeps every id at 1 or more
-    if max(us) > n or max(vs) > n or w_max > MAX_WEIGHT or any(map(eq, us, vs)):
+    if max(us) > n or v_max > n or w_max > MAX_WEIGHT or any(map(eq, us, vs)):
         for i, (u, v, w) in enumerate(zip(us, vs, ws), start=lineno + 1):
             if fault := _arc_fault(u, v, w, n):
                 raise DimacsParseError(i, fault)
+    if v_max >= len(ids):
+        ids += range(len(ids) - 1, v_max)
     if w_max < _SHARED_LEN:
-        # itemgetter of one index returns the item, not a 1-tuple
-        ws = itemgetter(*ws)(_SHARED_INTS) if len(ws) > 1 else (_SHARED_INTS[ws[0]],)
-    for u, leaf in zip(us, zip(map(sub, vs, repeat(1)), ws)):
+        ws = _items(_SHARED_INTS, ws)
+    for u, leaf in zip(us, zip(_items(ids, vs), ws)):
         lists[u - 1].append(leaf)
     return lineno + len(us)
+
+
+def _items(table: list[int] | tuple[int, ...], keys: list[int]) -> tuple[int, ...]:
+    """The items of ``table`` at ``keys``, in one call."""
+    # itemgetter of one key returns the item, not a 1-tuple
+    return itemgetter(*keys)(table) if len(keys) > 1 else (table[keys[0]],)
 
 
 def _numbers(lineno: int, line: str, fields: list[str], what: str) -> list[int]:

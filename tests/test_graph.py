@@ -96,6 +96,24 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match=r"^arc \(0, 1\) weight .* is not an int$"):
             build_graph(2, [(0, 1, w)])
 
+    @pytest.mark.parametrize("arc", [(0, 1.0, 5), (0.0, 1, 5), (0, "1", 5), (None, 1, 5), (1, 0.5, 5)])
+    def test_node_id_that_is_not_an_int_rejected(self, arc):
+        # a float id would index no list, and save_dimacs would write a
+        # float leaf as text load_dimacs rejects
+        with pytest.raises(GraphError, match=r"^arc \(.*\) node id .* is not an int$"):
+            build_graph(2, [(0, 1, 1), arc])
+
+    def test_fault_of_the_arcs_themselves_is_not_an_id_fault(self):
+        with pytest.raises(TypeError, match="cannot unpack"):
+            build_graph(2, [(0, 1, 1), 7])
+        with pytest.raises(TypeError, match="not iterable"):
+            build_graph(2, None)
+
+    def test_bool_node_ids_read_as_ints(self):
+        g = build_graph(2, [(True, False, 5)])
+        assert g.leaf_set(1) == ((0, 5),)
+        assert type(g.leaf_set(1)[0][0]) is int
+
     @pytest.mark.parametrize("arc, error, message", [
         ((5, 5, 1), NodeOutOfRangeError, "node id 5 out of range [0, 2)"),
         ((0, 7, -1), NodeOutOfRangeError, "node id 7 out of range [0, 2)"),
@@ -105,11 +123,13 @@ class TestBuildGraph:
         ((1, 1, MAX_WEIGHT + 1), SelfLoopError, "self-loop on node 1 is not allowed"),
         ((1, 1, 5.5), SelfLoopError, "self-loop on node 1 is not allowed"),
         ((1, 0, -1.5), GraphError, "arc (1, 0) weight -1.5 is not an int"),
+        ((0.0, 1, -1), GraphError, "arc (0.0, 1) node id 0.0 is not an int"),
+        ((0, 1.0, MAX_WEIGHT + 1), GraphError, "arc (0, 1.0) node id 1.0 is not an int"),
     ])
     def test_arc_with_several_faults_raises_the_first(self, arc, error, message):
-        # order: node range (src, then dst), self-loop, weight type,
-        # negative weight, weight limit; a valid arc before the faulty one
-        # changes nothing
+        # order: id type, node range (src, then dst), self-loop, weight
+        # type, negative weight, weight limit; a valid arc before the
+        # faulty one changes nothing
         with pytest.raises(GraphError) as info:
             build_graph(2, [(0, 1, 1), arc])
         assert type(info.value) is error
@@ -423,6 +443,12 @@ def saved_text(g: Graph) -> str:
     return buf.getvalue()
 
 
+def assert_one_object_per_value(values: list[int]) -> None:
+    values = [x for x in values if x > 256]  # CPython caches ints up to 256 anyway
+    assert len(values) > len(set(values))
+    assert len(set(map(id, values))) == len(set(values))
+
+
 class TestSharedWeights:
     """Every builder stores a weight below the shared table's length as
     the table's one int object for that value."""
@@ -432,9 +458,7 @@ class TestSharedWeights:
     @pytest.mark.parametrize("spelling", ["a {} {} {}", "a\t{} {} {}"], ids=["run", "line"])
     def test_equal_weights_of_a_loaded_grid_are_one_object(self, spelling):
         g = load_dimacs(io.StringIO(respelled(saved_text(generate(self.GRID)), spelling)))
-        weights = [w for _, _, w in arc_list(g) if w > 256]  # CPython caches ints up to 256 anyway
-        assert len(weights) > len(set(weights))
-        assert len(set(map(id, weights))) == len(set(weights))
+        assert_one_object_per_value([w for _, _, w in arc_list(g)])
 
     def test_generated_built_and_loaded_graphs_share_weights(self):
         g = generate(self.GRID)
@@ -469,8 +493,51 @@ class TestSharedWeights:
         finally:
             tracemalloc.stop()
         # CPython 3.10-3.13: 124.2-127.6 bytes per arc with one weight
-        # object per arc, 103.5-106.9 with the weights shared
-        assert retained / g.arc_count < 115
+        # and one id object per arc, 103.5-106.9 with the weights shared,
+        # 83.9-84.4 with the ids shared too
+        assert retained / g.arc_count < 92
+
+
+class TestSharedIds:
+    """Every builder takes a graph's leaf ids from one table per build,
+    so equal ids in one graph are one int object."""
+
+    GRID = GenSpec(family="grid", rows=64, cols=64, seed=1)
+
+    @pytest.mark.parametrize("spelling", ["a {} {} {}", "a\t{} {} {}"], ids=["run", "line"])
+    def test_equal_ids_of_a_loaded_grid_are_one_object(self, spelling):
+        g = load_dimacs(io.StringIO(respelled(saved_text(generate(self.GRID)), spelling)))
+        assert_one_object_per_value([v for _, v, _ in arc_list(g)])
+
+    def test_equal_ids_of_a_built_grid_are_one_object(self):
+        g = generate(self.GRID)
+        # int(str(v)) makes a new object of equal value
+        built = build_graph(g.n, [(u, int(str(v)), w) for u, v, w in arc_list(g)])
+        assert built == g
+        assert_one_object_per_value([v for _, v, _ in arc_list(built)])
+
+    @pytest.mark.parametrize("spec", [
+        GRID,
+        GenSpec(family="complete", n=300, seed=1),
+        GenSpec(family="random", n=5000, m=4, seed=1),  # past the weight table
+    ], ids=["grid", "complete", "random"])
+    def test_equal_ids_of_a_generated_graph_are_one_object(self, spec):
+        assert_one_object_per_value([v for _, v, _ in arc_list(generate(spec))])
+
+    def test_header_alone_allocates_no_id_table(self):
+        n = 1 << 16
+        stream = io.StringIO(f"p sp {n} 0\n")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = load_dimacs(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == n
+        # CPython 3.11: 73.8 bytes per declared node, one empty leaf list
+        # each; an id table sized by the header would add about 40
+        assert peak / n < 80
 
 
 def labels_from_dist(n: int, dist: list) -> LabelState:
@@ -528,14 +595,20 @@ arc_lists = st.integers(2, 12).flatmap(
 
 
 # up to 12 nodes and 40 arcs, so isolated nodes and parallel arcs both
-# occur; weights include both bounds, and an optional last arc may have a
-# weight build_graph must reject
+# occur; weights include both bounds, and an optional last arc may have
+# ids or a weight build_graph must reject
 round_trip_weights = st.one_of(st.integers(0, 30), st.sampled_from([0, MAX_WEIGHT]))
 odd_weights = st.one_of(
     round_trip_weights,
     st.sampled_from([-1, MAX_WEIGHT + 1, True, False, 2.0, 5.5, "5", None]),
     st.floats(allow_nan=False),
 )
+
+
+def odd_ids(n: int):
+    return st.one_of(st.integers(0, n - 1), st.sampled_from([True, False, 0.0, 1.0, 1.5]))
+
+
 round_trip_cases = st.integers(2, 12).flatmap(
     lambda n: st.tuples(
         st.just(n),
@@ -546,7 +619,7 @@ round_trip_cases = st.integers(2, 12).flatmap(
             ),
             max_size=40,
         ),
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), odd_weights), max_size=1),
+        st.lists(st.tuples(odd_ids(n), odd_ids(n), odd_weights), max_size=1),
     )
 )
 
