@@ -7,8 +7,11 @@ separate :class:`LabelState`.
 
 Both validating constructors, :func:`build_graph` and
 :func:`load_dimacs`, check each arc once as they read it and append it
-to its root's leaf list; one assembly step then freezes the lists and
-min-merges parallel arcs on the nodes that have any.
+to its root's leaf list; :class:`Graph` then freezes the lists.  A graph
+keeps every arc it is given, in input order, parallel arcs included.
+Every solver and oracle relaxes each arc it scans, so a graph's
+distances equal those of the graph with only the lightest arc of each
+parallel group.
 
 Both constructors and :class:`Graph` itself, which the generators feed,
 pause the cyclic garbage collector while they allocate.  A build makes
@@ -33,15 +36,14 @@ leaf id it has read, so a graph holds one int object per node id, not
 one per arc.  Without the sharing, every arc whose weight or leaf id is
 above 256 (CPython caches the ints up to 256) holds an int object of its
 own, 32 bytes each; with it, a loaded grid-128² keeps about 84 bytes per
-arc instead of 129 (108 with the weights alone shared), random-50000
-69 and complete-500 64.  Sharing is safe because ints are immutable and
-no code tells equal values apart by identity, so every value,
-comparison, saved file and counter is unchanged.  Its one cost falls on
-the random family, whose leaves are scattered: the shared id objects
-sit far apart in memory, so touching their reference counts misses the
-cache, and a random-50000 load or generation takes a few percent longer.
-The weight table costs about 150 KB once, and covers the generators'
-default weights, 1..1000, with room to spare.
+arc, random-50000 69 and complete-500 64.  Sharing is safe because
+ints are immutable and no code tells equal values apart by identity, so
+every value, comparison, saved file and counter is unchanged.  Its one
+cost falls on the random family, whose leaves are scattered: the shared
+id objects sit far apart in memory, so touching their reference counts
+misses the cache, and a random-50000 load or generation takes a few
+percent longer.  The weight table costs about 150 KB once, and covers
+the generators' default weights, 1..1000, with room to spare.
 """
 
 from __future__ import annotations
@@ -195,9 +197,8 @@ def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
     (a ``bool`` reads as 0 or 1), and a weight an ``int`` but not a
     ``bool``; of an arc with several faults, the first in the order id
     type, node range (src, then dst), self-loop, weight type, negative
-    weight, weight limit is raised.
-    Parallel arcs collapse to the minimum weight, keeping the position
-    of the first occurrence (see :func:`_assemble`).
+    weight, weight limit is raised.  Every arc is kept, in input order,
+    parallel arcs included.
     """
     if n < 0:
         raise GraphError(f"node count must be nonnegative, got {n}")
@@ -219,7 +220,7 @@ def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
         if isinstance(src, int) and isinstance(dst, int):
             raise
         raise _arc_error(src, dst, w, n) from None
-    return _assemble(lists)
+    return Graph(lists)
 
 
 def _arc_error(src: int, dst: int, w: int, n: int) -> GraphError:
@@ -237,24 +238,6 @@ def _arc_error(src: int, dst: int, w: int, n: int) -> GraphError:
     if w < 0:
         return NegativeWeightError(src, dst, w)
     return WeightTooLargeError(src, dst, w)
-
-
-def _assemble(lists: list[list[tuple[int, int]]]) -> Graph:
-    """Freeze validated per-node leaf lists into a :class:`Graph`.
-
-    A list whose leaves are all distinct becomes a tuple as it is.  Only
-    a list that repeats a leaf is min-merged: each leaf keeps the
-    position of its first arc and the least weight of all its arcs.
-    """
-    return Graph(ll if len(dict(ll)) == len(ll) else _min_merge(ll) for ll in lists)
-
-
-def _min_merge(leaves: list[tuple[int, int]]) -> LeafList:
-    best: dict[int, int] = {}
-    for leaf, w in leaves:
-        if leaf not in best or w < best[leaf]:
-            best[leaf] = w
-    return tuple(best.items())
 
 
 class LabelState:
@@ -303,8 +286,8 @@ def load_dimacs(stream: TextIO) -> Graph:
     the header allocates one leaf list per node.  Either way each arc is
     checked once (errors name the line and the ids as written) and
     appended to its root's list, its leaf the 0-based id object of one
-    table per load.  ``m`` must equal the number of arc lines; parallel
-    arcs are then min-merged as in :func:`build_graph`.
+    table per load.  Every arc line is kept, in file order, parallel
+    arcs included, and ``m`` must equal their number.
     """
     n = -1
     declared = -1
@@ -351,16 +334,16 @@ def load_dimacs(stream: TextIO) -> Graph:
                     raise DimacsParseError(lineno, f"unknown line type {kind!r}")
     except UnicodeDecodeError as exc:
         raise GraphError(f"input is not UTF-8 text: {exc.reason}") from None
-    # the last match still holds the last block; free it before assembly
+    # the last match still holds the last block; free it before the graph
     piece = None
     if n < 0:
         if not lineno:
             raise GraphError("input is empty")
         raise DimacsParseError(lineno, "missing problem line")
-    arc_lines = sum(map(len, lists))
-    if arc_lines != declared:
-        raise HeaderMismatchError(declared, arc_lines)
-    return _assemble(lists)
+    g = Graph(lists)
+    if g.arc_count != declared:
+        raise HeaderMismatchError(declared, g.arc_count)
+    return g
 
 
 def _add_arc_run(

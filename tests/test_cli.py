@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lizardpath import GenSpec, GraphError, RunMetrics, build_graph, cli, save_dimacs
+from lizardpath import GenSpec, GraphError, RunMetrics, build_graph, cli, generate, save_dimacs
 from lizardpath.cli import (
     SUITES,
     build_parser,
@@ -287,8 +287,11 @@ class TestVerify:
         assert "brute force agrees" in capsys.readouterr().out
 
     def test_brute_force_skipped_past_path_bound(self, tmp_path, capsys, monkeypatch):
-        # complete-12 has over 10**8 simple paths from a node; complete-7's
-        # bound 7**7 still admits brute force
+        # the bound is on the product over the nodes of (out-degree + 1):
+        # complete-7's 7**7 admits brute force; complete-8's 8**8 (about
+        # 1.7 * 10**7) and complete-12's 12**12 (about 8.9 * 10**12, with
+        # 1.1 * 10**8 simple paths from a node) do not, so a bound raised
+        # as far as 10**9 fails here
         gr = tmp_path / "k7.gr"
         assert main(["gen", "--family", "complete", "--n", "7", "-o", str(gr)]) == 0
         assert main(["verify", str(gr)]) == 0
@@ -298,12 +301,12 @@ class TestVerify:
             raise AssertionError("brute force ran")
 
         monkeypatch.setattr(cli, "brute_force", refuse)
-        assert main(["gen", "--family", "complete", "--n", "12", "--seed", "1", "-o", str(gr)]) == 0
-        capsys.readouterr()
-        assert main(["verify", str(gr)]) == 0
-        assert capsys.readouterr().out == (
-            "PASS ca == dijkstra\nPASS bellman_ford == dijkstra\nPASS no shorter arms remain\n"
-        )
+        for n in (8, 12):
+            g = generate(GenSpec(family="complete", n=n, seed=1))
+            assert cli.verify_instance(g, 0) == (
+                True,
+                ["PASS ca == dijkstra", "PASS bellman_ford == dijkstra", "PASS no shorter arms remain"],
+            )
 
     def test_bellman_ford_skipped_past_scan_bound(self, monkeypatch):
         # a chain whose ids run against its arcs takes n rounds of

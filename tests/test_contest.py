@@ -219,27 +219,41 @@ small_graphs = st.integers(2, 12).flatmap(
 )
 
 
-@given(small_graphs, st.data())
+def small_graph(case):
+    n, raw = case
+    return build_graph(n, [(u, (u + step) % n, w) for u, step, w in raw])
+
+
+def least_weights(g) -> dict[tuple[int, int], int]:
+    """The least weight of each (root, leaf) pair's arcs: the arcs of the
+    graph with only the lightest arc of each parallel group."""
+    weight: dict[tuple[int, int], int] = {}
+    for u, v, w in arc_list(g):
+        weight[u, v] = min(w, weight.get((u, v), w))
+    return weight
+
+
+@given(small_graphs)
 @settings(max_examples=200, deadline=None)
-def test_contest_run_contract(case, data):
+def test_parallel_arcs_never_change_a_distance(case):
+    g = small_graph(case)
+    twin = build_graph(g.n, [(u, v, w) for (u, v), w in least_weights(g).items()])
+    labels, _ = solve_sssp(g)
+    assert labels.dist == dijkstra(twin, 0)[0]
+    assert collect_origins(g, labels) == []
+
+
+def assert_contest_run_contract(g, labels, extra_origins) -> None:
     """contest_run apart from the first pass: labels that are real path
     lengths, with every node collect_origins lists among the origins, end
     at Dijkstra's distances with tight parents, each node reaped once at
-    most."""
-    n, raw = case
-    g = build_graph(n, [(u, (u + step) % n, w) for u, step, w in raw])
-    weight = {(u, v): w for u, v, w in arc_list(g)}
-    # a random spanning arborescence of the reachable set, labeled along
-    # its arcs, so every parent is tight
-    labels = LabelState.initial(n, 0)
-    dist, parent = labels.dist, labels.parent
-    while frontier := [(u, v) for (u, v) in weight if dist[u] is not None and dist[v] is None]:
-        u, v = data.draw(st.sampled_from(frontier))
-        dist[v] = dist[u] + weight[u, v]
-        parent[v] = u
-    labeled = [v for v in range(n) if dist[v] is not None]
+    most.  ``extra_origins`` are labeled nodes added to the origins."""
+    n = g.n
+    # a tight parent arc is the lightest of its parallel group
+    weight = least_weights(g)
+    labeled = [v for v in range(n) if labels.dist[v] is not None]
     origins = collect_origins(g, labels)
-    origins += [v for v in data.draw(st.lists(st.sampled_from(labeled), unique=True)) if v not in origins]
+    origins += [v for v in extra_origins if v not in origins]
 
     labels, m = contest_run(g, labels, origins)
 
@@ -253,6 +267,40 @@ def test_contest_run_contract(case, data):
             chain.append(parent[chain[-1]])
         assert chain[-1] == 0, f"parent chain from {v} does not reach the source: {chain}"
     assert m.le_counters.getmin // 2 <= len(labeled)
+
+
+@given(small_graphs, st.data())
+@settings(max_examples=200, deadline=None)
+def test_contest_run_contract(case, data):
+    g = small_graph(case)
+    weight = least_weights(g)
+    # a random spanning arborescence of the reachable set, labeled along
+    # its arcs, so every parent is tight
+    labels = LabelState.initial(g.n, 0)
+    dist, parent = labels.dist, labels.parent
+    while frontier := [(u, v) for (u, v) in weight if dist[u] is not None and dist[v] is None]:
+        u, v = data.draw(st.sampled_from(frontier))
+        dist[v] = dist[u] + weight[u, v]
+        parent[v] = u
+    labeled = [v for v in range(g.n) if dist[v] is not None]
+    assert_contest_run_contract(g, labels, data.draw(st.lists(st.sampled_from(labeled), unique=True)))
+
+
+def test_contest_run_contract_on_corpus():
+    # the seeded corpus, labeled along a BFS arborescence from node 0:
+    # each node by the first arc that reaches it, so labels are real path
+    # lengths but not shortest
+    for g in corpus(30, base=700):
+        labels = LabelState.initial(g.n, 0)
+        dist, parent = labels.dist, labels.parent
+        queue = [0]
+        for u in queue:
+            for v, w in g.leaf_set(u):
+                if dist[v] is None:
+                    dist[v] = dist[u] + w
+                    parent[v] = u
+                    queue.append(v)
+        assert_contest_run_contract(g, labels, queue[::5])
 
 
 # Exact counters of solve_sssp from source 0 on desk-suite instances at

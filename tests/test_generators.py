@@ -67,6 +67,18 @@ def reference_randint(ref, lo: int, hi: int) -> int:
             return lo + x % span
 
 
+@pytest.mark.parametrize("hi", [4095, 4096])
+def test_ints_at_the_table_edge_draw_as_randint(hi):
+    # 4095 is the shared weight table's last index, 4096 one past it
+    draws = SplitMix64(3).ints(4090, hi)
+    rng = SplitMix64(3)
+    got = [next(draws) for _ in range(300)]
+    assert got == [rng.randint(4090, hi) for _ in range(300)]
+    assert set(got) == set(range(4090, hi + 1))
+    if hi < len(graph_module._SHARED_INTS):
+        assert all(x is graph_module._SHARED_INTS[x] for x in got)
+
+
 SPANS = st.sampled_from([1, 2, 3, 1000, 2**63 + 1, 2**64]) | st.integers(1, 2**64)
 BOUNDS = st.integers(-(2**70), 2**70)
 

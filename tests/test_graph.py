@@ -46,17 +46,17 @@ class TestBuildGraph:
         assert g.arc_count == 0
         assert g.leaf_set(0) == ()
 
-    def test_parallel_arcs_keep_minimum(self):
+    def test_parallel_arcs_are_all_kept(self):
         g = build_graph(3, [(0, 1, 2), (0, 1, 7)])
-        assert g.arc_count == 1
-        assert g.leaf_set(0) == ((1, 2),)
-        # regardless of arrival order
+        assert g.arc_count == 2
+        assert g.leaf_set(0) == ((1, 2), (1, 7))
+        # in arrival order, the heavier first too
         g = build_graph(3, [(0, 1, 7), (0, 1, 2)])
-        assert g.leaf_set(0) == ((1, 2),)
+        assert g.leaf_set(0) == ((1, 7), (1, 2))
 
     def test_leaf_order_is_first_insertion(self):
         g = build_graph(4, [(0, 3, 9), (0, 1, 4), (0, 3, 2), (0, 2, 1)])
-        assert g.leaf_set(0) == ((3, 2), (1, 4), (2, 1))
+        assert g.leaf_set(0) == ((3, 9), (1, 4), (3, 2), (2, 1))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeWeightError):
@@ -272,10 +272,10 @@ class TestDimacs:
         save_dimacs(generate(GenSpec(seed=1, **kwargs)), buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
-    def test_load_collapses_parallel_arcs(self):
+    def test_load_keeps_parallel_arcs(self):
         g = load_dimacs(io.StringIO("p sp 2 2\na 1 2 7\na 1 2 3\n"))
-        assert g.arc_count == 1
-        assert g.leaf_set(0) == ((1, 3),)
+        assert g.arc_count == 2
+        assert g.leaf_set(0) == ((1, 7), (1, 3))
 
 
 def respelled(text: str, spelling: str = "a\t{} {} {}") -> str:
@@ -329,7 +329,8 @@ class TestArcRuns:
     @OPENERS
     def test_runs_across_blocks_load_the_same_graph(self, monkeypatch, opened):
         arcs = arc_lines(40, 9, "a 3 1 4294967295")[:-1]  # no final line end
-        expected = build_graph(3, [(0, 1, 5), (2, 0, MAX_WEIGHT)])
+        # the same 40 arcs as the text, whose line 9 is the eighth arc
+        expected = build_graph(3, [(0, 1, 5)] * 7 + [(2, 0, MAX_WEIGHT)] + [(0, 1, 5)] * 32)
         # the second text's comment of 2-byte characters crosses the
         # 16-character block edge
         for text in ("c made by hand\n" + arcs, "c made by hand\nc " + "é" * 20 + "\n" + arcs):
@@ -476,6 +477,18 @@ class TestSharedWeights:
         g = load_dimacs(io.StringIO(text))
         assert arc_list(g) == [(u - 1, v - 1, w) for u, v, w in arcs]
         assert g == build_graph(3, [(u - 1, v - 1, w) for u, v, w in arcs])
+
+    @pytest.mark.parametrize("w", [4095, 4096, 4097])
+    @pytest.mark.parametrize("spelling", ["a {} {} {}", "a\t{} {} {}"], ids=["run", "line"])
+    def test_weights_at_the_table_edge(self, spelling, w):
+        # w, the largest weight of the run, is the table's last index or
+        # one of the two values past it
+        built = build_graph(3, [(0, 1, w), (1, 2, 5)])
+        loaded = load_dimacs(io.StringIO(respelled(f"p sp 3 2\na 1 2 {w}\na 2 3 5\n", spelling)))
+        assert loaded == built
+        assert arc_list(built) == [(0, 1, w), (1, 2, 5)]
+        if w < len(graph_module._SHARED_INTS):
+            assert built.leaf_set(0)[0][1] is loaded.leaf_set(0)[0][1] is graph_module._SHARED_INTS[w]
 
     def test_one_arc_run_shares_its_weight(self):
         g = load_dimacs(io.StringIO("p sp 2 1\na 1 2 700\n"))
@@ -675,13 +688,12 @@ def test_load_equals_build_with_parallel_arcs(case, data):
     loaded = load_dimacs(io.StringIO("\n".join(lines) + "\n"))
     built = build_graph(n, arcs)
     assert loaded == built
-    assert loaded.arc_count == built.arc_count
-    # reference: each leaf at its first arc's position, with its least weight
-    expected: list[dict[int, int]] = [{} for _ in range(n)]
+    # reference: every arc in its root's list, in input order
+    expected: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in arcs:
-        expected[u][v] = min(w, expected[u].get(v, w))
-    assert [loaded.leaf_set(v) for v in range(n)] == [tuple(e.items()) for e in expected]
-    assert loaded.arc_count == sum(map(len, expected))
+        expected[u].append((v, w))
+    assert [loaded.leaf_set(v) for v in range(n)] == list(map(tuple, expected))
+    assert loaded.arc_count == built.arc_count == len(arcs)
 
 
 # mostly valid arcs on four nodes, so runs get long before a fault
