@@ -130,9 +130,12 @@ def solve_sssp(g: Graph, opts: SolveOptions | None = None) -> tuple[LabelState, 
     t0 = time.perf_counter()
     first = hdm_run(g, opts.source)
     t1 = time.perf_counter()
-    labels, metrics = contest_run(g, first.labels, first.origins)
+    # the correction never reads the layer array, so it is freed first
+    labels, origins, hdm_arc_scans = first.labels, first.origins, first.arc_scans
+    del first
+    labels, metrics = contest_run(g, labels, origins)
     t2 = time.perf_counter()
     metrics.t_hdm_ms = (t1 - t0) * 1000.0
     metrics.t_ca_ms = (t2 - t1) * 1000.0
-    metrics.hdm_arc_scans = first.arc_scans
+    metrics.hdm_arc_scans = hdm_arc_scans
     return labels, metrics

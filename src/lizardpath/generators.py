@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain, count
 
 from . import graph
-from .graph import Graph, GraphError
+from .graph import _SHARED_INTS, _SHARED_LEN, Graph, GraphError
 
 _RANGE = 1 << 64
 _MASK64 = _RANGE - 1
@@ -90,7 +90,10 @@ class SplitMix64:
     all read one stream, and none reads a value ahead of its own draw, so
     any interleaving of them consumes the stream in the scalar order.  The
     iterators of ``ints(0, 2**64 - 1)`` yield the raw stream: with a
-    span of 2**64 no value is rejected and none is changed.
+    span of 2**64 no value is rejected and none is changed.  ``randint``,
+    ``below`` and ``ints`` all give a draw in [0, 4096) as the graph
+    module's shared int object for its value, so the weights a maker
+    draws cost a pointer each, not an int object each.
     """
 
     __slots__ = ("_raw",)
@@ -99,11 +102,22 @@ class SplitMix64:
         self._raw = chain.from_iterable(map(_block, count(seed & _MASK64, _BLOCK * _GAMMA)))
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], unbiased via rejection."""
-        span, limit = _span_limit(lo, hi)
+        """Uniform integer in [lo, hi], unbiased via rejection.
+
+        A draw in [0, 4096) is the graph module's shared int object for
+        its value, as the draws of ``ints`` are; any other draw is a
+        plain int of the same value.
+        """
+        # _span_limit's test inline, as a call per draw would cost more
+        # than the draw; the call is made only to raise its error
+        span = hi - lo + 1
+        if not 0 < span <= _RANGE:
+            _span_limit(lo, hi)
+        limit = _MASK64 - _RANGE % span
         for x in self._raw:
             if x <= limit:
-                return lo + x % span
+                x = lo + x % span
+                return _SHARED_INTS[x] if 0 <= x < _SHARED_LEN else x
 
     def below(self, n: int) -> int:
         return self.randint(0, n - 1)
@@ -117,9 +131,8 @@ class SplitMix64:
         """
         # checks the range before any slice of the table is taken
         span, limit = _span_limit(lo, hi)
-        shared = graph._SHARED_INTS
-        if 0 <= lo and hi < len(shared):
-            return self._picks(shared[lo : hi + 1])
+        if 0 <= lo and hi < _SHARED_LEN:
+            return self._picks(_SHARED_INTS[lo : hi + 1])
         return map(lo.__add__, map(span.__rmod__, filter(limit.__ge__, self._raw)))
 
     def _picks(self, table: Sequence[int]) -> Iterator[int]:

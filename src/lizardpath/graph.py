@@ -7,8 +7,11 @@ separate :class:`LabelState`.
 
 Both validating constructors, :func:`build_graph` and
 :func:`load_dimacs`, check each arc once as they read it and append it
-to its root's leaf list; :class:`Graph` then freezes the lists.  A graph
-keeps every arc it is given, in input order, parallel arcs included.
+to its root's leaf list.  They then replace each list in place by its
+tuple before :class:`Graph` takes them, so list i is freed as tuple i is
+made: a build peaks at the graph it returns plus the leaf lists not yet
+frozen, never every list and every tuple at once.  A graph keeps every
+arc it is given, in input order, parallel arcs included.
 Every solver and oracle relaxes each arc it scans, so a graph's
 distances equal those of the graph with only the lightest arc of each
 parallel group.
@@ -29,14 +32,15 @@ Weights below 4096 are stored as one shared int object per value for the
 whole process, taken from the table ``_SHARED_INTS``:
 :func:`build_graph`, both arc paths of :func:`load_dimacs`, and the
 generators, whose weights come from
-:meth:`~lizardpath.generators.SplitMix64.ints`.  Leaf ids are shared the
-same way within one graph: every builder takes them from one table of
-id objects per build, which :func:`load_dimacs` grows to the largest
-leaf id it has read, so a graph holds one int object per node id, not
-one per arc.  Without the sharing, every arc whose weight or leaf id is
-above 256 (CPython caches the ints up to 256) holds an int object of its
-own, 32 bytes each; with it, a loaded grid-128² keeps about 84 bytes per
-arc, random-50000 69 and complete-500 64.  Sharing is safe because
+:meth:`~lizardpath.generators.SplitMix64.ints`; ``randint`` and
+``below`` give their draws in [0, 4096) as the same objects.  Leaf ids
+are shared the same way within one graph: every builder takes them from
+one table of id objects per build, which :func:`load_dimacs` grows to
+the largest leaf id it has read, so a graph holds one int object per
+node id, not one per arc.  Without the sharing, every arc whose weight
+or leaf id is above 256 (CPython caches the ints up to 256) holds an int
+object of its own, 32 bytes each; with it, a loaded grid-128² keeps
+about 84 bytes per arc, random-50000 69 and complete-500 64.  Sharing is safe because
 ints are immutable and no code tells equal values apart by identity, so
 every value, comparison, saved file and counter is unchanged.  Its one
 cost falls on the random family, whose leaves are scattered: the shared
@@ -220,6 +224,16 @@ def build_graph(n: int, arcs: Iterable[tuple[int, int, int]]) -> Graph:
         if isinstance(src, int) and isinstance(dst, int):
             raise
         raise _arc_error(src, dst, w, n) from None
+    return _frozen(lists)
+
+
+def _frozen(lists: list[list[tuple[int, int]]]) -> Graph:
+    """The graph of a builder's own leaf lists, each replaced in place
+    by its tuple first, so list i is freed as tuple i is made and the
+    build never holds every list and every tuple at once."""
+    for i, leaves in enumerate(lists):
+        lists[i] = tuple(leaves)
+    # Graph takes a tuple as it is, without a copy
     return Graph(lists)
 
 
@@ -340,7 +354,7 @@ def load_dimacs(stream: TextIO) -> Graph:
         if not lineno:
             raise GraphError("input is empty")
         raise DimacsParseError(lineno, "missing problem line")
-    g = Graph(lists)
+    g = _frozen(lists)
     if g.arc_count != declared:
         raise HeaderMismatchError(declared, g.arc_count)
     return g

@@ -38,7 +38,11 @@ class HdmOutput:
 
     ``region[v]`` is v's layer id, 1 for the source and 0 for a node the
     pass never reached; it is the only record of which node lies in which
-    layer.  ``partition.k`` is the number of layers.
+    layer.  The nodes of one layer share one int object for its id, so
+    past layer 256 (CPython caches the ints up to 256) the array costs a
+    pointer per node, not an int object each.  ``partition.k`` is the
+    number of layers.  :func:`~lizardpath.contest.solve_sssp` frees the
+    array before its correction, which never reads it.
     """
 
     labels: LabelState
@@ -71,6 +75,8 @@ def hdm_run(g: Graph, source: int) -> HdmOutput:
     frontier = [source]
     i = 1
     while frontier:
+        # one id object per layer: past 256, i + 1 per node would make one each
+        nxt = i + 1
         next_frontier: list[int] = []
         for v in frontier:
             dv = dist[v]
@@ -80,7 +86,7 @@ def hdm_run(g: Graph, source: int) -> HdmOutput:
             for leaf, w in leaves:
                 rl = region[leaf]
                 if rl == 0:
-                    region[leaf] = i + 1
+                    region[leaf] = nxt
                     next_frontier.append(leaf)
                     parent[leaf] = v
                     dist[leaf] = dv + w
@@ -94,7 +100,7 @@ def hdm_run(g: Graph, source: int) -> HdmOutput:
             if violated:
                 origins.append(v)
         frontier = next_frontier
-        i += 1
+        i = nxt
 
     origins.sort()
     # the loop stops with i one past the last non-empty layer

@@ -79,6 +79,36 @@ def test_ints_at_the_table_edge_draw_as_randint(hi):
         assert all(x is graph_module._SHARED_INTS[x] for x in got)
 
 
+class TestSharedDraws:
+    """randint and below give a draw in [0, 4096) as the graph module's
+    shared int object, as ints() does, and any other draw as a plain int
+    of the same value."""
+
+    def test_draws_inside_the_table_are_its_objects(self):
+        rng = SplitMix64(7)
+        got = [rng.randint(300, 4095) for _ in range(200)] + [rng.below(4096) for _ in range(200)]
+        assert max(got) > 256  # CPython caches the ints up to 256 anyway
+        assert all(x is graph_module._SHARED_INTS[x] for x in got)
+
+    def test_draws_at_and_past_the_table_edge(self):
+        # 4095 is the table's last index; 4096 and 4097 lie past it
+        rng = SplitMix64(3)
+        ref = splitmix64_reference(3)
+        got = [rng.randint(4095, 4097) for _ in range(300)]
+        assert got == [reference_randint(ref, 4095, 4097) for _ in range(300)]
+        assert set(got) == {4095, 4096, 4097}
+        assert all(x is graph_module._SHARED_INTS[4095] for x in got if x == 4095)
+
+    @pytest.mark.parametrize("lo, hi", [(-5, -1), (-4096, -1), (-3, 3)])
+    def test_negative_draws_are_their_own_values(self, lo, hi):
+        # a negative draw must not index the table from its end
+        rng = SplitMix64(11)
+        ref = splitmix64_reference(11)
+        got = [rng.randint(lo, hi) for _ in range(300)]
+        assert got == [reference_randint(ref, lo, hi) for _ in range(300)]
+        assert lo <= min(got) and max(got) <= hi
+
+
 SPANS = st.sampled_from([1, 2, 3, 1000, 2**63 + 1, 2**64]) | st.integers(1, 2**64)
 BOUNDS = st.integers(-(2**70), 2**70)
 

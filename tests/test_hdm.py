@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +13,9 @@ from lizardpath import (
     collect_origins,
     dijkstra,
     gen_complete,
+    generate,
     hdm_run,
+    solve_sssp,
 )
 from conftest import arc_list, gen_layered_dag, gen_out_tree, gen_random_sparse, make_chain
 
@@ -129,6 +134,33 @@ class TestHdmRun:
         for g in corpus(30, base=200):
             out = hdm_run(g, 0)
             assert check_partition(g, out, 0) is None
+
+
+def digest(*values) -> str:
+    return hashlib.sha256(json.dumps(values).encode()).hexdigest()[:16]
+
+
+class TestLayerIds:
+    # 302 layers from corner 0: past CPython's cached ints (up to 256)
+    GRID = GenSpec(family="grid", rows=3, cols=300, seed=1)
+
+    def test_one_id_object_per_layer(self):
+        out = hdm_run(generate(self.GRID), 0)
+        region = out.region
+        assert out.partition.k == 302
+        assert len(set(map(id, region))) == len(set(region)) == 302
+
+    def test_first_pass_and_solve_unchanged_past_256_layers(self):
+        # pinned from the pass that made one id object per node
+        g = generate(self.GRID)
+        out = hdm_run(g, 0)
+        assert (out.arc_scans, len(out.origins)) == (2994, 479)
+        assert digest(out.labels.dist, out.labels.parent, out.region, out.origins) == "33140b66f50c4d11"
+        labels, m = solve_sssp(g)
+        assert labels.dist == dijkstra(g, 0)[0]
+        assert digest(labels.dist, labels.parent) == "c1741ea7c0268c4b"
+        assert (m.hdm_arc_scans, m.deletions, m.arc_scans, m.relabels, m.le_cost, m.anomalies) == (
+            2994, 1567, 2947, 1088, 14920, 0)
 
 
 class TestLayeredExactness:
