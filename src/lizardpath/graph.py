@@ -259,8 +259,7 @@ class LabelState:
 
     ``parent[v]`` is the predecessor on the current best path (None for
     the source and unvisited nodes), and ``dist[v]`` the current total
-    weight (None = unset).  The first pass's layer ids are not kept here:
-    :func:`~lizardpath.hdm.hdm_run` returns them as ``HdmOutput.region``.
+    weight (None = unset).
     """
 
     __slots__ = ("parent", "dist")

@@ -7,8 +7,6 @@ label, while an arc into the same or an earlier layer that would improve
 its leaf marks its root as an origin for the correction phase.  Distances
 produced here are upper bounds; they are exact, and the origin harvest is
 empty, when every arc of the instance crosses exactly one layer forward.
-The pass keeps only the current and the next layer's node lists; the
-region ids are the one record of layer membership.
 
 :func:`collect_origins` rescans finished labels for the same roots and
 is the harvest's reference.  An empty list proves that every reachable
@@ -34,19 +32,9 @@ class RegionPartition:
 
 @dataclass
 class HdmOutput:
-    """The first pass's labels, its layers, and its origin harvest.
-
-    ``region[v]`` is v's layer id, 1 for the source and 0 for a node the
-    pass never reached; it is the only record of which node lies in which
-    layer.  The nodes of one layer share one int object for its id, so
-    past layer 256 (CPython caches the ints up to 256) the array costs a
-    pointer per node, not an int object each.  ``partition.k`` is the
-    number of layers.  :func:`~lizardpath.contest.solve_sssp` frees the
-    array before its correction, which never reads it.
-    """
+    """The first pass's labels, its layer count, and its origin harvest."""
 
     labels: LabelState
-    region: list[int]
     partition: RegionPartition
     origins: list[int]
     arc_scans: int
@@ -104,7 +92,7 @@ def hdm_run(g: Graph, source: int) -> HdmOutput:
 
     origins.sort()
     # the loop stops with i one past the last non-empty layer
-    return HdmOutput(labels, region, RegionPartition(i - 1), origins, arc_scans)
+    return HdmOutput(labels, RegionPartition(i - 1), origins, arc_scans)
 
 
 def collect_origins(g: Graph, labels: LabelState) -> list[int]:

@@ -3,6 +3,9 @@ the structure fuzz driver."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from lizardpath import Graph, GraphError, LizardEntity, LizardItem, SplitMix64, build_graph
@@ -19,6 +22,21 @@ def triangle() -> Graph:
     """Fixture where the first pass overshoots: direct arc 0->1 costs 10,
     but the detour through 2 costs 2."""
     return build_graph(3, [(0, 1, 10), (0, 2, 1), (2, 1, 1)])
+
+
+def traced(call):
+    """What ``call()`` returns, with the bytes still traced after it
+    and the traced peak while it ran."""
+    # a full collection empties the interpreter's free lists, so every
+    # object the call makes is a new, traced allocation
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
 
 
 def splitmix64_reference(seed: int):

@@ -489,9 +489,10 @@ def test_readme_cli_examples_parse():
 
 
 def test_readme_library_example_runs():
-    """The README's ``python`` block runs as written, so a renamed or
-    removed export fails here."""
+    """The README's ``python`` blocks (the library example and the warm
+    start) each run as written, so a renamed or removed export fails here."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     blocks = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
-    assert len(blocks) == 1
-    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

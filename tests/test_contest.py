@@ -10,6 +10,7 @@ from lizardpath import (
     GenSpec,
     LabelState,
     SolveOptions,
+    SplitMix64,
     UnlabeledOriginError,
     build_graph,
     collect_origins,
@@ -301,6 +302,37 @@ def test_contest_run_contract_on_corpus():
                     parent[v] = u
                     queue.append(v)
         assert_contest_run_contract(g, labels, queue[::5])
+
+
+def test_warm_start_after_weight_decreases():
+    # arcs cut to a quarter of their weight and one arc added leave every
+    # old label a real path length, so a correction from the changed
+    # arcs' labeled tails re-solves the new graph without a full scan
+    rng = SplitMix64(10)
+    relabels = 0
+    for g in corpus(60):
+        old, _ = solve_sssp(g)
+        arcs = arc_list(g)
+        cut = {rng.below(len(arcs)) for _ in range(3)} if arcs else set()
+        u = rng.below(g.n)
+        added = (u, (u + 1 + rng.below(g.n - 1)) % g.n, rng.randint(0, 1000))
+        lighter = [(a, b, w // 4 if i in cut else w) for i, (a, b, w) in enumerate(arcs)]
+        g2 = build_graph(g.n, lighter + [added])
+        tails = sorted({a for a, _, _ in [arcs[i] for i in cut] + [added] if old.dist[a] is not None})
+        warm = LabelState(list(old.parent), list(old.dist))
+        assert set(collect_origins(g2, warm)) <= set(tails)
+
+        labels, m = contest_run(g2, warm, tails)
+
+        dist, parent = labels.dist, labels.parent
+        assert dist == dijkstra(g2, 0)[0]
+        assert parent[0] is None
+        weight = least_weights(g2)
+        for v, p in enumerate(parent):
+            if p is not None:
+                assert dist[v] == dist[p] + weight[p, v]
+        relabels += m.relabels
+    assert relabels > 0
 
 
 # Exact counters of solve_sssp from source 0 on desk-suite instances at

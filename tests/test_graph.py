@@ -2,7 +2,6 @@ import gc
 import hashlib
 import io
 import re
-import tracemalloc
 from unittest import mock
 
 import pytest
@@ -31,7 +30,7 @@ from lizardpath import (
 from lizardpath import graph as graph_module
 from lizardpath.cli import SUITES
 from lizardpath.graph import _RUN_LINES, MAX_NODES, MAX_WEIGHT, WeightTooLargeError
-from conftest import arc_list, gen_random_sparse
+from conftest import arc_list, gen_random_sparse, traced
 
 
 class TestBuildGraph:
@@ -459,21 +458,6 @@ def assert_one_object_per_value(values: list[int]) -> None:
     assert len(set(map(id, values))) == len(set(values))
 
 
-def traced(build):
-    """What ``build()`` returns, with the bytes still traced after it
-    and the traced peak while it ran."""
-    # a full collection empties the interpreter's free lists, so every
-    # object the build makes is a new, traced allocation
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = build()
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, retained, peak
-
-
 class TestSharedWeights:
     """Every builder stores a weight below the shared table's length as
     the table's one int object for that value."""
@@ -602,6 +586,14 @@ class TestFindShorterArms:
         g = gen_random_sparse(40, 0.2, seed=5)
         dist, _ = dijkstra(g, 0)
         assert collect_origins(g, labels_from_dist(g.n, dist)) == []
+
+    def test_labels_below_true_distance_go_unseen(self):
+        # the README's example: an empty list proves only half of
+        # exactness, since no arc violates when a label is too low
+        g = build_graph(3, [(0, 1, 5), (1, 2, 7)])
+        assert dijkstra(g, 0)[0] == [0, 5, 12]
+        for dist in ([0, 5, 1], [0, 0, 0]):
+            assert collect_origins(g, labels_from_dist(3, dist)) == []
 
     def test_overshoot_is_reported(self):
         g = build_graph(3, [(0, 1, 1), (1, 2, 1)])

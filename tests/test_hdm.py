@@ -17,41 +17,48 @@ from lizardpath import (
     hdm_run,
     solve_sssp,
 )
-from conftest import arc_list, gen_layered_dag, gen_out_tree, gen_random_sparse, make_chain
+from conftest import arc_list, gen_layered_dag, gen_out_tree, gen_random_sparse, make_chain, traced
+
+
+def bfs_hops(g: Graph, source: int) -> list[int | None]:
+    """Hop count of each node from the source by plain BFS (None when
+    unreachable); shares no code with the first pass."""
+    hops: list[int | None] = [None] * g.n
+    hops[source] = 0
+    queue = [source]
+    for u in queue:
+        for v, _ in g.leaf_set(u):
+            if hops[v] is None:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
 
 
 def check_partition(g: Graph, out: HdmOutput, source: int) -> str | None:
-    """Validate region-partition invariants; returns a message or None.
+    """Check the first pass's layers against BFS; returns a message or None.
 
-    Checks: first region is exactly the source, regions are disjoint,
-    their union is the reachable set, every node in region i > 1 has
-    an in-arc from region i-1, and the largest layer id is the layer count.
-    The layers are rebuilt from ``out.region``, so they are disjoint and
-    cover the labeled nodes by construction.
+    Checks: the labeled nodes are the BFS-reachable ones, the layer
+    count is one more than the largest hop count, the source has label
+    0 and no parent, and every other labeled node's parent is one hop
+    closer to the source with a tight arc into it (some arc p -> v with
+    ``dist[p] + w == dist[v]``, since parallel arcs are kept).
     """
-    region = out.region
-    if out.partition.k != max(region):
-        return f"partition.k {out.partition.k} != largest layer id {max(region)}"
-    regions: list[list[int]] = [[] for _ in range(out.partition.k)]
-    for v, idx in enumerate(region):
-        if idx > 0:
-            regions[idx - 1].append(v)
-    if regions[0] != [source]:
-        return "first region must be exactly [source]"
-    labeled = {v for v in range(g.n) if region[v] > 0}
-    if labeled != {v for v in range(g.n) if out.labels.dist[v] is not None}:
-        return "layer ids and distances disagree on which nodes are labeled"
-    # feed arcs: some in-arc from the previous layer must exist
-    feeds: list[set[int]] = [set() for _ in range(len(regions) + 2)]
-    for v, leaf, _ in arc_list(g):
-        rv = region[v]
-        rl = region[leaf]
-        if rv > 0 and rl == rv + 1:
-            feeds[rl].add(leaf)
-    for idx in range(2, len(regions) + 1):
-        for v in regions[idx - 1]:
-            if v not in feeds[idx]:
-                return f"node {v} in region {idx} has no arc from region {idx - 1}"
+    hops = bfs_hops(g, source)
+    dist, parent = out.labels.dist, out.labels.parent
+    labeled = {v for v in range(g.n) if dist[v] is not None}
+    if labeled != {v for v in range(g.n) if hops[v] is not None}:
+        return "labeled nodes and BFS-reachable nodes differ"
+    if out.partition.k != 1 + max(h for h in hops if h is not None):
+        return f"partition.k {out.partition.k} != 1 + largest hop count"
+    if dist[source] != 0 or parent[source] is not None:
+        return "source must have label 0 and no parent"
+    tight = {(u, v) for u, v, w in arc_list(g) if dist[u] is not None and dist[u] + w == dist[v]}
+    for v in labeled - {source}:
+        p = parent[v]
+        if p is None or hops[p] != hops[v] - 1:
+            return f"node {v}'s parent {p} is not one hop closer to the source"
+        if (p, v) not in tight:
+            return f"node {v} has no tight arc from its parent {p}"
     return None
 
 
@@ -66,21 +73,25 @@ class TestHdmRun:
     def test_single_node(self):
         out = hdm_run(build_graph(1, []), 0)
         assert out.labels.dist == [0]
-        assert out.region == [1]
+        assert out.labels.parent == [None]
         assert out.partition.k == 1
         assert out.arc_scans == 0
 
     def test_chain_labels_and_regions(self):
-        out = hdm_run(make_chain([3, 4]), 0)
+        g = make_chain([3, 4])
+        out = hdm_run(g, 0)
         assert out.labels.dist == [0, 3, 7]
-        assert out.region == [1, 2, 3]
         assert out.labels.parent == [None, 0, 1]
+        assert out.partition.k == 3
+        assert check_partition(g, out, 0) is None
 
     def test_triangle_keeps_overshoot(self, triangle):
         # leaf 1 sits in root 2's own layer, so the pass must not touch it
         out = hdm_run(triangle, 0)
         assert out.labels.dist == [0, 10, 1]
-        assert out.region == [1, 2, 2]
+        assert out.labels.parent == [None, 0, 0]
+        assert out.partition.k == 2
+        assert check_partition(triangle, out, 0) is None
 
     def test_source_out_of_range(self):
         with pytest.raises(NodeOutOfRangeError):
@@ -89,7 +100,7 @@ class TestHdmRun:
     def test_unreachable_nodes_stay_wild(self):
         g = build_graph(4, [(0, 1, 2), (3, 2, 1)])
         out = hdm_run(g, 0)
-        assert out.region[2] == 0 and out.region[3] == 0
+        assert out.labels.parent[2] is None and out.labels.parent[3] is None
         assert out.labels.dist[2] is None and out.labels.dist[3] is None
 
     def test_arc_scans_cover_reachable_out_degrees(self):
@@ -145,17 +156,24 @@ class TestLayerIds:
     GRID = GenSpec(family="grid", rows=3, cols=300, seed=1)
 
     def test_one_id_object_per_layer(self):
-        out = hdm_run(generate(self.GRID), 0)
-        region = out.region
-        assert out.partition.k == 302
-        assert len(set(map(id, region))) == len(set(region)) == 302
+        # 3002 layers: nearly every node lies past layer 256, where a
+        # layer id made per node (i + 1) would be an int object of its own
+        g = generate(GenSpec(family="grid", rows=3, cols=3000, seed=1))
+        out, _, peak = traced(lambda: hdm_run(g, 0))
+        assert out.partition.k == 3002
+        # CPython 3.11: 72.2 bytes per node with one id object per
+        # layer, 91.7 with one per node
+        assert peak / g.n < 80
 
     def test_first_pass_and_solve_unchanged_past_256_layers(self):
-        # pinned from the pass that made one id object per node
+        # pinned from the pass that made one id object per node; the
+        # first-pass digest leaves the layer ids out, as hdm_run does
         g = generate(self.GRID)
         out = hdm_run(g, 0)
+        assert out.partition.k == 302
+        assert check_partition(g, out, 0) is None
         assert (out.arc_scans, len(out.origins)) == (2994, 479)
-        assert digest(out.labels.dist, out.labels.parent, out.region, out.origins) == "33140b66f50c4d11"
+        assert digest(out.labels.dist, out.labels.parent, out.origins) == "50d16c5367ccd7ab"
         labels, m = solve_sssp(g)
         assert labels.dist == dijkstra(g, 0)[0]
         assert digest(labels.dist, labels.parent) == "c1741ea7c0268c4b"
